@@ -6,6 +6,10 @@ type t = {
   regions : Region.t array;
   edges : edge array;
   adj : (int * int) list array;
+  adj_off : int array;
+  adj_node : int array;
+  adj_edge : int array;
+  adj_len : int array;
 }
 
 let manhattan (x1, y1) (x2, y2) = abs (x1 - x2) + abs (y1 - y2)
@@ -41,7 +45,21 @@ let build ~track_spacing regions =
       adj.(e.a) <- (e.id, e.b) :: adj.(e.a);
       adj.(e.b) <- (e.id, e.a) :: adj.(e.b))
     edges;
-  { regions; edges; adj }
+  (* The same adjacency flattened (CSR), in [neighbours] order. *)
+  let adj_off = Array.make (n + 1) 0 in
+  Array.iteri (fun v l -> adj_off.(v + 1) <- adj_off.(v) + List.length l) adj;
+  let adj_node = Array.make adj_off.(n) 0 in
+  let adj_edge = Array.make adj_off.(n) 0 in
+  Array.iteri
+    (fun v l ->
+      List.iteri
+        (fun j (eid, o) ->
+          adj_node.(adj_off.(v) + j) <- o;
+          adj_edge.(adj_off.(v) + j) <- eid)
+        l)
+    adj;
+  let adj_len = Array.map (fun eid -> edges.(eid).length) adj_edge in
+  { regions; edges; adj; adj_off; adj_node; adj_edge; adj_len }
 
 let n_nodes t = Array.length t.regions
 let n_edges t = Array.length t.edges

@@ -25,6 +25,13 @@ type t = {
   edges : edge array;
   adj : (int * int) list array;
       (** Per node: [(edge id, neighbour node)] pairs. *)
+  adj_off : int array;
+      (** [adj] flattened for allocation-free traversal: node [v]'s
+          neighbours are at slots [adj_off.(v)] to [adj_off.(v+1) - 1] of
+          the three arrays below, in [adj] order. *)
+  adj_node : int array;  (** Neighbour node per slot. *)
+  adj_edge : int array;  (** Edge id per slot. *)
+  adj_len : int array;  (** That edge's [length] per slot. *)
 }
 
 val build : track_spacing:int -> Region.t list -> t

@@ -4,203 +4,265 @@ type path = { nodes : int list; edges : int list; length : int }
 
 (* The search runs on an augmented digraph: a virtual source [n] fanning out
    to all sources and a virtual target [n+1] fed by all targets, both with
-   zero-length hops, so multi-set queries reduce to single-pair queries. *)
-type aug = {
-  g : G.t;
-  n : int;
-  vsrc : int;
-  vtgt : int;
-  sources : int list;
-  target_set : (int, unit) Hashtbl.t;
+   zero-length hops, so multi-set queries reduce to single-pair queries.
+   The kernel handles both virtual nodes inline.
+
+   All search state lives in a per-domain workspace that only ever grows,
+   so a search allocates nothing.  Node sets are generation stamps: a node
+   is in the set iff its slot equals the set's generation, and a fresh
+   generation empties every set at once. *)
+type ws = {
+  mutable dist : int array;
+  mutable prev : int array;  (* Previous node on the best path found. *)
+  mutable via : int array;  (* Edge id of that hop; -1 for a virtual hop. *)
+  mutable target : int array;  (* Targets of the current query. *)
+  mutable banned : int array;  (* Nodes a spur search may not enter. *)
+  mutable no_hop : int array;  (* Next hops banned from the spur node. *)
+  mutable gen : int;
+  (* Binary min-heap on (dist, node), lexicographic. *)
+  mutable heap_d : int array;
+  mutable heap_v : int array;
+  mutable heap_n : int;
 }
 
-let make_aug g ~sources ~targets =
-  let n = G.n_nodes g in
-  let target_set = Hashtbl.create 8 in
-  List.iter (fun t -> Hashtbl.replace target_set t ()) targets;
-  { g; n; vsrc = n; vtgt = n + 1; sources; target_set }
+let key =
+  Domain.DLS.new_key (fun () ->
+      { dist = [||]; prev = [||]; via = [||]; target = [||]; banned = [||];
+        no_hop = [||]; gen = 0; heap_d = Array.make 64 0;
+        heap_v = Array.make 64 0; heap_n = 0 })
 
-(* Successors as (next node, hop length). *)
-let succ aug v =
-  if v = aug.vsrc then List.map (fun s -> (s, 0)) aug.sources
-  else if v = aug.vtgt then []
-  else
-    let real =
-      List.map
-        (fun (eid, o) -> (o, aug.g.G.edges.(eid).G.length))
-        (G.neighbours aug.g v)
-    in
-    if Hashtbl.mem aug.target_set v then (aug.vtgt, 0) :: real else real
+(* This domain's workspace, sized for [g]'s augmented graph. *)
+let workspace g =
+  let ws = Domain.DLS.get key in
+  let size = G.n_nodes g + 2 in
+  if Array.length ws.dist < size then begin
+    ws.dist <- Array.make size max_int;
+    ws.prev <- Array.make size (-1);
+    ws.via <- Array.make size (-1);
+    ws.target <- Array.make size 0;
+    ws.banned <- Array.make size 0;
+    ws.no_hop <- Array.make size 0
+  end;
+  ws
 
-module Pq = Set.Make (struct
-  type t = int * int  (* (distance, node) *)
+let fresh ws =
+  ws.gen <- ws.gen + 1;
+  ws.gen
 
-  let compare = Stdlib.compare
-end)
-
-let norm_pair u v = if u <= v then (u, v) else (v, u)
-
-(* Dijkstra from [start] to [vtgt] on the augmented graph, avoiding banned
-   directed pairs and banned nodes; returns the node sequence and length. *)
-let dijkstra aug ~start ~banned_pairs ~banned_nodes =
-  let size = aug.n + 2 in
-  let dist = Array.make size max_int in
-  let prev = Array.make size (-1) in
-  dist.(start) <- 0;
-  let q = ref (Pq.singleton (0, start)) in
-  let finished = ref false in
-  while (not !finished) && not (Pq.is_empty !q) do
-    let (d, v) as min = Pq.min_elt !q in
-    q := Pq.remove min !q;
-    if v = aug.vtgt then finished := true
-    else if d <= dist.(v) then
-      List.iter
-        (fun (o, len) ->
-          if
-            (not (Hashtbl.mem banned_nodes o))
-            && not (Hashtbl.mem banned_pairs (norm_pair v o))
-          then
-            let nd = d + len in
-            if nd < dist.(o) then begin
-              dist.(o) <- nd;
-              prev.(o) <- v;
-              q := Pq.add (nd, o) !q
-            end)
-        (succ aug v)
+let push ws d v =
+  if ws.heap_n = Array.length ws.heap_d then begin
+    let grow a = Array.append a (Array.make (Array.length a) 0) in
+    ws.heap_d <- grow ws.heap_d;
+    ws.heap_v <- grow ws.heap_v
+  end;
+  let hd = ws.heap_d and hv = ws.heap_v in
+  let i = ref ws.heap_n in
+  ws.heap_n <- ws.heap_n + 1;
+  let rising = ref true in
+  while !rising && !i > 0 do
+    let p = (!i - 1) / 2 in
+    if d < hd.(p) || (d = hd.(p) && v < hv.(p)) then begin
+      hd.(!i) <- hd.(p);
+      hv.(!i) <- hv.(p);
+      i := p
+    end
+    else rising := false
   done;
-  if dist.(aug.vtgt) = max_int then None
-  else begin
-    let rec walk v acc = if v = -1 then acc else walk prev.(v) (v :: acc) in
-    Some (walk aug.vtgt [], dist.(aug.vtgt))
+  hd.(!i) <- d;
+  hv.(!i) <- v
+
+(* Drop the minimum; the caller has read it from slot 0. *)
+let pop ws =
+  let hd = ws.heap_d and hv = ws.heap_v in
+  let n = ws.heap_n - 1 in
+  ws.heap_n <- n;
+  let d = hd.(n) and v = hv.(n) in
+  let i = ref 0 in
+  let sinking = ref true in
+  while !sinking do
+    let l = (2 * !i) + 1 in
+    if l >= n then sinking := false
+    else begin
+      let c =
+        let r = l + 1 in
+        if r < n && (hd.(r) < hd.(l) || (hd.(r) = hd.(l) && hv.(r) < hv.(l)))
+        then r
+        else l
+      in
+      if hd.(c) < d || (hd.(c) = d && hv.(c) < v) then begin
+        hd.(!i) <- hd.(c);
+        hv.(!i) <- hv.(c);
+        i := c
+      end
+      else sinking := false
+    end
+  done;
+  if n > 0 then begin
+    hd.(!i) <- d;
+    hv.(!i) <- v
   end
 
-let hop_length aug u v =
-  if u = aug.vsrc || v = aug.vsrc || u = aug.vtgt || v = aug.vtgt then 0
-  else
-    match G.edge_between aug.g u v with
-    | Some e -> e.G.length
-    | None -> invalid_arg "Mshortest: nodes not adjacent"
+(* Relax the hop [v -> o] over edge [e] (-1 if virtual) to distance [nd],
+   unless [o] is banned or the hop leaves [start] to a banned next hop. *)
+let relax ws ~start ~sgen v o e nd =
+  if
+    ws.banned.(o) <> sgen
+    && (v <> start || ws.no_hop.(o) <> sgen)
+    && nd < ws.dist.(o)
+  then begin
+    ws.dist.(o) <- nd;
+    ws.prev.(o) <- v;
+    ws.via.(o) <- e;
+    push ws nd o
+  end
 
-let to_path aug nodes length =
-  let real = List.filter (fun v -> v < aug.n) nodes in
-  let rec edges = function
-    | u :: (v :: _ as rest) ->
-        (match G.edge_between aug.g u v with
-        | Some e -> e.G.id :: edges rest
-        | None -> edges rest)
-    | _ -> []
-  in
-  { nodes = real; edges = edges real; length }
+let rec relax_sources ws ~start ~sgen vsrc d = function
+  | [] -> ()
+  | s :: rest ->
+      relax ws ~start ~sgen vsrc s (-1) d;
+      relax_sources ws ~start ~sgen vsrc d rest
+
+(* The one Dijkstra: from [start] on the augmented graph, with the query's
+   targets stamped [tgen] and the spur bans stamped [sgen]; stops when the
+   virtual target pops.  Entries pop in (dist, node) order, which is total
+   because a node is pushed only on strict improvement; a real node relaxes
+   the virtual target first, then its neighbours in [G.neighbours] order.
+   True iff the virtual target was reached. *)
+let search ws (g : G.t) ~sources ~start ~tgen ~sgen =
+  let n = G.n_nodes g in
+  let vsrc = n and vtgt = n + 1 in
+  Array.fill ws.dist 0 (n + 2) max_int;
+  ws.heap_n <- 0;
+  ws.dist.(start) <- 0;
+  push ws 0 start;
+  let finished = ref false in
+  while (not !finished) && ws.heap_n > 0 do
+    let d = ws.heap_d.(0) and v = ws.heap_v.(0) in
+    pop ws;
+    if v = vtgt then finished := true
+    else if d <= ws.dist.(v) then
+      if v = vsrc then relax_sources ws ~start ~sgen vsrc d sources
+      else begin
+        if ws.target.(v) = tgen then relax ws ~start ~sgen v vtgt (-1) d;
+        for j = g.G.adj_off.(v) to g.G.adj_off.(v + 1) - 1 do
+          relax ws ~start ~sgen v g.G.adj_node.(j) g.G.adj_edge.(j)
+            (d + g.G.adj_len.(j))
+        done
+      end
+  done;
+  ws.dist.(vtgt) < max_int
 
 let distances g ~sources =
+  let ws = workspace g in
   let n = G.n_nodes g in
-  let dist = Array.make n max_int in
-  let q = ref Pq.empty in
-  List.iter
-    (fun s ->
-      if dist.(s) <> 0 then begin
-        dist.(s) <- 0;
-        q := Pq.add (0, s) !q
-      end)
-    sources;
-  while not (Pq.is_empty !q) do
-    let (d, v) as min = Pq.min_elt !q in
-    q := Pq.remove min !q;
-    if d <= dist.(v) then
-      List.iter
-        (fun (eid, o) ->
-          let nd = d + g.G.edges.(eid).G.length in
-          if nd < dist.(o) then begin
-            dist.(o) <- nd;
-            q := Pq.add (nd, o) !q
-          end)
-        (G.neighbours g v)
-  done;
-  dist
+  let gen = fresh ws in
+  ignore (search ws g ~sources ~start:n ~tgen:gen ~sgen:gen);
+  Array.sub ws.dist 0 n
 
-let shortest g ~sources ~targets =
-  if sources = [] || targets = [] then None
-  else
-    let aug = make_aug g ~sources ~targets in
-    match
-      dijkstra aug ~start:aug.vsrc ~banned_pairs:(Hashtbl.create 1)
-        ~banned_nodes:(Hashtbl.create 1)
-    with
-    | None -> None
-    | Some (nodes, length) -> Some (to_path aug nodes length)
+(* A path on the augmented graph, virtual source to virtual target;
+   [hops.(j)] is the edge id from [anodes.(j)] to [anodes.(j+1)], -1 for a
+   virtual hop. *)
+type apath = { anodes : int array; hops : int array; alen : int }
+
+(* Yen's spur: keep [base]'s first [i] nodes (of length [root_len]) and
+   search on from [base.anodes.(i)]. *)
+let spur ws g ~sources ~tgen ~sgen base i root_len =
+  let start = base.anodes.(i) in
+  if not (search ws g ~sources ~start ~tgen ~sgen) then None
+  else begin
+    let vtgt = G.n_nodes g + 1 in
+    let len = ref (i + 1) and v = ref vtgt in
+    while !v <> start do
+      v := ws.prev.(!v);
+      incr len
+    done;
+    let len = !len in
+    let anodes = Array.make len 0 and hops = Array.make (len - 1) (-1) in
+    Array.blit base.anodes 0 anodes 0 i;
+    Array.blit base.hops 0 hops 0 i;
+    let v = ref vtgt in
+    for p = len - 1 downto i do
+      anodes.(p) <- !v;
+      if p > i then hops.(p - 1) <- ws.via.(!v);
+      v := ws.prev.(!v)
+    done;
+    Some { anodes; hops; alen = root_len + ws.dist.(vtgt) }
+  end
+
+let rec same_prefix a b j len =
+  j >= len || (a.(j) = b.(j) && same_prefix a b (j + 1) len)
+
+(* Ban the next hop of every accepted path sharing [base]'s first [i+1]
+   nodes.  All those hops leave the spur node [base.anodes.(i)], so a
+   per-node stamp stands for the banned (spur, next) pair. *)
+let rec ban_next_hops ws ~sgen base i = function
+  | [] -> ()
+  | p :: rest ->
+      if Array.length p.anodes > i + 1 && same_prefix p.anodes base.anodes 0 (i + 1)
+      then ws.no_hop.(p.anodes.(i + 1)) <- sgen;
+      ban_next_hops ws ~sgen base i rest
+
+let to_path g p =
+  let n = G.n_nodes g in
+  { nodes = List.filter (fun v -> v < n) (Array.to_list p.anodes);
+    edges = List.filter (fun e -> e >= 0) (Array.to_list p.hops);
+    length = p.alen }
 
 let k_shortest g ~k ~sources ~targets =
   if k <= 0 || sources = [] || targets = [] then []
   else begin
-    let aug = make_aug g ~sources ~targets in
-    let empty_tbl () = Hashtbl.create 8 in
-    let first =
-      dijkstra aug ~start:aug.vsrc ~banned_pairs:(empty_tbl ())
-        ~banned_nodes:(empty_tbl ())
-    in
-    match first with
+    let ws = workspace g in
+    let tgen = fresh ws in
+    List.iter (fun t -> ws.target.(t) <- tgen) targets;
+    let origin = { anodes = [| G.n_nodes g |]; hops = [||]; alen = 0 } in
+    match spur ws g ~sources ~tgen ~sgen:(fresh ws) origin 0 0 with
     | None -> []
     | Some first ->
-        (* Yen's deviation algorithm over node sequences. *)
-        let a = ref [ first ] in
-        let b = ref [] in  (* candidates, (nodes, length) *)
+        (* Yen's deviation algorithm over node sequences.  New candidates
+           are prepended and the stable sort keeps that order among equal
+           lengths. *)
+        let a = ref [ first ] and accepted = ref 1 in
+        let b = ref [] in
         let seen = Hashtbl.create 16 in
-        Hashtbl.replace seen (fst first) ();
-        let add_candidate c =
-          if not (Hashtbl.mem seen (fst c)) then begin
-            Hashtbl.replace seen (fst c) ();
-            b := c :: !b
-          end
-        in
+        Hashtbl.replace seen first.anodes ();
         let continue = ref true in
-        while List.length !a < k && !continue do
-          let prev_nodes, _ = List.hd !a in
-          let prev_arr = Array.of_list prev_nodes in
-          for i = 0 to Array.length prev_arr - 2 do
-            let root = Array.sub prev_arr 0 (i + 1) in
-            let banned_pairs = empty_tbl () in
-            (* Ban the next hop of every accepted path sharing this root. *)
-            List.iter
-              (fun (pn, _) ->
-                let pa = Array.of_list pn in
-                if
-                  Array.length pa > i + 1
-                  && Array.sub pa 0 (i + 1) = root
-                then
-                  Hashtbl.replace banned_pairs (norm_pair pa.(i) pa.(i + 1)) ())
-              !a;
-            let banned_nodes = empty_tbl () in
-            Array.iteri
-              (fun j v -> if j < i then Hashtbl.replace banned_nodes v ())
-              root;
-            match
-              dijkstra aug ~start:prev_arr.(i) ~banned_pairs ~banned_nodes
-            with
-            | None -> ()
-            | Some (spur_nodes, spur_len) ->
-                let root_len = ref 0 in
-                for j = 0 to i - 1 do
-                  root_len := !root_len + hop_length aug prev_arr.(j) prev_arr.(j + 1)
-                done;
-                let full =
-                  Array.to_list (Array.sub prev_arr 0 i) @ spur_nodes
-                in
-                add_candidate (full, !root_len + spur_len)
+        while !accepted < k && !continue do
+          let base = List.hd !a in
+          let root_len = ref 0 in
+          for i = 0 to Array.length base.anodes - 2 do
+            if i > 0 && base.hops.(i - 1) >= 0 then
+              root_len := !root_len + g.G.edges.(base.hops.(i - 1)).G.length;
+            let sgen = fresh ws in
+            for j = 0 to i - 1 do
+              ws.banned.(base.anodes.(j)) <- sgen
+            done;
+            ban_next_hops ws ~sgen base i !a;
+            match spur ws g ~sources ~tgen ~sgen base i !root_len with
+            | Some c when not (Hashtbl.mem seen c.anodes) ->
+                Hashtbl.replace seen c.anodes ();
+                b := c :: !b
+            | Some _ | None -> ()
           done;
-          match List.sort (fun (_, l1) (_, l2) -> Stdlib.compare l1 l2) !b with
+          match List.stable_sort (fun c1 c2 -> Int.compare c1.alen c2.alen) !b with
           | [] -> continue := false
           | best :: rest ->
               a := best :: !a;
-              b := rest
+              b := rest;
+              incr accepted
         done;
-        List.rev_map (fun (nodes, len) -> to_path aug nodes len) !a
-        |> List.sort (fun p1 p2 -> Stdlib.compare p1.length p2.length)
+        List.rev_map (to_path g) !a
+        |> List.stable_sort (fun p1 p2 -> Int.compare p1.length p2.length)
   end
 
+let shortest g ~sources ~targets =
+  match k_shortest g ~k:1 ~sources ~targets with
+  | p :: _ -> Some p
+  | [] -> None
+
 (* Batched queries over one shared (read-only) graph: each search touches
-   only its own local state (dist/prev arrays, hash tables), so queries
-   parallelize with no coordination and the result array keeps query
-   order — the merge is just the identity on indices. *)
+   only its own domain's workspace, so queries parallelize with no
+   coordination and the result array keeps query order — the merge is just
+   the identity on indices. *)
 let k_shortest_batch ?pool g ~k queries =
   let solve _i (sources, targets) = k_shortest g ~k ~sources ~targets in
   match pool with

@@ -4,7 +4,12 @@
     (Sec 4.2.1); this implements the equivalent deviation algorithm (Yen's),
     generalized to source {e sets} and target {e sets} via zero-length
     virtual terminals — which is also what makes electrically-equivalent
-    pins free to the router. *)
+    pins free to the router.
+
+    Every search runs one array-based Dijkstra on scratch state owned by
+    the calling domain and reused across calls: the functions below are
+    safe to call from several domains at once, and a search itself
+    allocates nothing. *)
 
 type path = {
   nodes : int list;  (** Visited graph nodes, source end first. *)

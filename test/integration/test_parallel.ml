@@ -232,16 +232,21 @@ let test_mshortest_batch_invariant () =
            | _ -> None)
     |> Array.of_list
   in
-  let lengths paths =
+  (* Whole paths, not just lengths: equal-length paths must also come back
+     in the same order with the same nodes and edges on every domain. *)
+  let render paths =
     Array.map
-      (List.map (fun (p : Twmc_route.Mshortest.path) -> p.Twmc_route.Mshortest.length))
+      (List.map (fun (p : Twmc_route.Mshortest.path) ->
+           Printf.sprintf "%d [%s] [%s]" p.Twmc_route.Mshortest.length
+             (String.concat "," (List.map string_of_int p.Twmc_route.Mshortest.nodes))
+             (String.concat "," (List.map string_of_int p.Twmc_route.Mshortest.edges))))
       paths
   in
   let seq = Twmc_route.Mshortest.k_shortest_batch g ~k:4 queries in
   Pool.with_pool ~jobs:test_jobs (fun pool ->
       let par = Twmc_route.Mshortest.k_shortest_batch ~pool g ~k:4 queries in
-      Alcotest.(check (array (list int)))
-        "batch query order and lengths" (lengths seq) (lengths par))
+      Alcotest.(check (array (list string)))
+        "batch query order and paths" (render seq) (render par))
 
 (* ------------------------------------------------ full-flow invariance *)
 

@@ -33,6 +33,20 @@ let grid ~w ~h ~cell =
   in
   Graph.build ~track_spacing:2 regions
 
+(* A region on [rect]; only its rectangle matters to the channel graph. *)
+let region rect =
+  let dummy_edge pos =
+    Twmc_geometry.Edge.make Twmc_geometry.Edge.V ~pos
+      ~span:(Twmc_geometry.Interval.make 0 1)
+      ~side:Twmc_geometry.Edge.High
+  in
+  { Region.rect;
+    dir = Region.V;
+    lo_owner = Region.Boundary;
+    hi_owner = Region.Boundary;
+    lo_edge = dummy_edge 0;
+    hi_edge = dummy_edge 1 }
+
 (* A simple path graph 0 - 1 - 2 - ... - (n-1). *)
 let line n ~cell =
   grid ~w:n ~h:1 ~cell
@@ -58,19 +72,6 @@ let test_shortest_trivial_and_disconnected () =
   checkb "empty sources" true
     (Mshortest.shortest g ~sources:[] ~targets:[ 1 ] = None);
   (* Two disconnected single-region graphs. *)
-  let dummy_edge pos =
-    Twmc_geometry.Edge.make Twmc_geometry.Edge.V ~pos
-      ~span:(Twmc_geometry.Interval.make 0 1)
-      ~side:Twmc_geometry.Edge.High
-  in
-  let region rect =
-    { Region.rect;
-      dir = Region.V;
-      lo_owner = Region.Boundary;
-      hi_owner = Region.Boundary;
-      lo_edge = dummy_edge 0;
-      hi_edge = dummy_edge 1 }
-  in
   let g2 =
     Graph.build ~track_spacing:2
       [ region (Rect.make ~x0:0 ~y0:0 ~x1:5 ~y1:5);
@@ -401,6 +402,77 @@ let test_congestion_report () =
     "Congestion.buckets matches report order" Congestion.buckets
     (List.map fst rep.Congestion.histogram)
 
+(* --------------------------------- differential: kernel vs reference *)
+
+(* Random channel graphs from random rectangles on a coarse even grid, so
+   centres are integral and many path lengths tie.  A region may copy an
+   earlier rectangle (coincident centres: a zero-length edge) or sit in a
+   far cluster (a disconnected graph).  Each query draws sources and
+   targets that may repeat or overlap, and a [k] that often exceeds the
+   number of loopless paths. *)
+type diff_case = {
+  rects : (int * int * int * int) list;
+  queries : (int list * int list * int) list;
+}
+
+let diff_case_gen =
+  let open QCheck.Gen in
+  let* n = int_range 1 12 in
+  let rec rects i acc =
+    if i = n then return (List.rev acc)
+    else
+      let* copy = int_bound 5 in
+      if copy = 0 && acc <> [] then
+        let* j = int_bound (List.length acc - 1) in
+        rects (i + 1) (List.nth acc j :: acc)
+      else
+        let* far = int_bound 9 in
+        let off = if far = 0 then 1000 else 0 in
+        let* x = int_bound 4 and* y = int_bound 4 in
+        let* w = int_range 1 3 and* h = int_range 1 3 in
+        rects (i + 1)
+          (((2 * x) + off, 2 * y, (2 * (x + w)) + off, 2 * (y + h)) :: acc)
+  in
+  let* rects = rects 0 [] in
+  let node = int_bound (n - 1) in
+  let* queries =
+    list_size (int_range 1 4)
+      (triple
+         (list_size (int_range 1 3) node)
+         (list_size (int_range 1 3) node)
+         (int_range 1 15))
+  in
+  return { rects; queries }
+
+let print_diff_case c =
+  let ints l = "[" ^ String.concat ";" (List.map string_of_int l) ^ "]" in
+  String.concat "\n"
+    (List.map (fun (x0, y0, x1, y1) -> Printf.sprintf "rect %d %d %d %d" x0 y0 x1 y1) c.rects
+    @ List.map
+        (fun (s, t, k) -> Printf.sprintf "query %s -> %s k=%d" (ints s) (ints t) k)
+        c.queries)
+
+let test_kernel_matches_reference =
+  QCheck.Test.make ~name:"array kernel = Set/Hashtbl reference" ~count:500
+    (QCheck.make ~print:print_diff_case diff_case_gen)
+    (fun c ->
+      let g =
+        Graph.build ~track_spacing:2
+          (List.map
+             (fun (x0, y0, x1, y1) -> region (Rect.make ~x0 ~y0 ~x1 ~y1))
+             c.rects)
+      in
+      List.for_all
+        (fun (sources, targets, k) ->
+          Mshortest.k_shortest g ~k ~sources ~targets
+          = Mshortest_ref.k_shortest g ~k ~sources ~targets
+          && Mshortest.shortest g ~sources ~targets
+             = Mshortest_ref.shortest g ~sources ~targets
+          && Mshortest.distances g ~sources = Mshortest_ref.distances g ~sources
+          && Mshortest.distances g ~sources:targets
+             = Mshortest_ref.distances g ~sources:targets)
+        c.queries)
+
 let () =
   Alcotest.run "route"
     [ ( "mshortest",
@@ -409,7 +481,8 @@ let () =
             test_shortest_trivial_and_disconnected;
           Alcotest.test_case "multi source/target" `Quick test_multi_source_target;
           Alcotest.test_case "k shortest grid" `Quick test_k_shortest_grid;
-          Alcotest.test_case "k exhausts" `Quick test_k_shortest_exhausts ] );
+          Alcotest.test_case "k exhausts" `Quick test_k_shortest_exhausts;
+          QCheck_alcotest.to_alcotest ~long:false test_kernel_matches_reference ] );
       ( "steiner",
         [ Alcotest.test_case "two pin" `Quick test_steiner_two_pin;
           Alcotest.test_case "multi pin" `Quick test_steiner_multi_pin;
