@@ -13,6 +13,22 @@ let exit_of_status = function
   | Twmc.Flow.Invalid_input -> exit_invalid
   | Twmc.Flow.Timed_out -> 5
 
+let print_diagnostics (rr : Twmc.Flow.resilient_result) =
+  List.iter
+    (fun d -> Format.eprintf "%a@." Twmc.Robust.Diagnostic.pp d)
+    rr.Twmc.Flow.diagnostics
+
+(* For commands that only render the flow's result: diagnostics go to
+   stderr, and a flow that produced none exits with its status code. *)
+let flow_or_exit (rr : Twmc.Flow.resilient_result) =
+  print_diagnostics rr;
+  match rr.Twmc.Flow.flow with
+  | Some r -> r
+  | None ->
+      Format.printf "no result (%s)@."
+        (Twmc.Flow.status_to_string rr.Twmc.Flow.status);
+      exit (exit_of_status rr.Twmc.Flow.status)
+
 let read_netlist path =
   match Twmc_netlist.Parser.parse_file path with
   | nl -> nl
@@ -383,9 +399,7 @@ let flow_cmd =
           ~max_retries ~jobs ~replicas ?checkpoint ?flight ~obs nl
     in
     obs_finish ();
-    List.iter
-      (fun d -> Format.eprintf "%a@." Twmc.Robust.Diagnostic.pp d)
-      rr.Twmc.Flow.diagnostics;
+    print_diagnostics rr;
     (match rr.Twmc.Flow.flow with
     | None ->
         Format.printf "no result (%s)@."
@@ -428,9 +442,10 @@ let route_cmd =
   let run (params, seed) (jobs, replicas) obs_spec file =
     let nl = read_netlist file in
     let obs, obs_finish = make_obs obs_spec in
-    let r = Twmc.Flow.run ~params ~seed ~jobs ~replicas ~obs nl in
+    let rr = Twmc.Flow.run_resilient ~params ~seed ~jobs ~replicas ~obs nl in
     obs_finish ();
-    match r.Twmc.Flow.stage2.Twmc.Stage2.final_route with
+    let r = flow_or_exit rr in
+    (match r.Twmc.Flow.stage2.Twmc.Stage2.final_route with
     | None -> Format.printf "no routing produced@."
     | Some route ->
         Format.printf "global routing of %s: L=%d, X=%d, %d/%d nets routed@."
@@ -451,11 +466,15 @@ let route_cmd =
               rn.Twmc_route.Global_router.route.Twmc_route.Steiner.length
               (List.length rn.Twmc_route.Global_router.route.Twmc_route.Steiner.edges)
               rn.Twmc_route.Global_router.alternatives)
-          route.Twmc_route.Global_router.routed
+          route.Twmc_route.Global_router.routed);
+    exit (exit_of_status rr.Twmc.Flow.status)
   in
   Cmd.v
     (Cmd.info "route"
-       ~doc:"Run the flow and report the final global routing per net")
+       ~doc:
+         "Run the guarded flow (as $(b,flow) does) and report the final \
+          global routing per net.  Diagnostics go to stderr; exit codes as \
+          for $(b,flow).")
     Term.(const run $ params_term $ parallel_term $ obs_term $ file)
 
 (* --------------------------------------------------------------- draw *)
@@ -475,7 +494,8 @@ let draw_cmd =
   in
   let run (params, seed) file out what =
     let nl = read_netlist file in
-    let r = Twmc.Flow.run ~params ~seed nl in
+    let rr = Twmc.Flow.run_resilient ~params ~seed nl in
+    let r = flow_or_exit rr in
     let p = r.Twmc.Flow.stage2.Twmc.Stage2.placement in
     let svg =
       match (what, r.Twmc.Flow.stage2.Twmc.Stage2.final_route) with
@@ -486,10 +506,14 @@ let draw_cmd =
     in
     Twmc_viz.Svg.write out svg;
     Format.printf "wrote %s (TEIL %.0f, area %d)@." out r.Twmc.Flow.teil_final
-      r.Twmc.Flow.area_final
+      r.Twmc.Flow.area_final;
+    exit (exit_of_status rr.Twmc.Flow.status)
   in
   Cmd.v
-    (Cmd.info "draw" ~doc:"Run the flow and render the layout as SVG")
+    (Cmd.info "draw"
+       ~doc:
+         "Run the guarded flow (as $(b,flow) does) and render the layout as \
+          SVG.  Diagnostics go to stderr; exit codes as for $(b,flow).")
     Term.(const run $ params_term $ file $ out $ what)
 
 (* ------------------------------------------------------------- report *)
@@ -806,7 +830,7 @@ let qa_fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
-         "Drive random adversarial circuits through the resilient flow, \
+         "Drive random adversarial circuits through the guarded flow, \
           checking the metamorphic oracle pack, determinism across --jobs \
           and budget compliance; failures are shrunk to minimal \
           reproducers.  Exit 0 when every case passes, 6 otherwise.")
@@ -1000,7 +1024,7 @@ let qa_chaos_cmd =
        ~doc:
          "Fuzz deterministic fault-injection plans (stage exceptions, \
           simulated deadline expiry, torn/short/transient checkpoint \
-          writes) through the resilient flow with durable checkpointing, \
+          writes) through the guarded flow with durable checkpointing, \
           asserting it always terminates in a typed status with \
           diagnostics and never leaves a corrupt checkpoint.  Exit 0 when \
           every plan is contained, 6 otherwise.")

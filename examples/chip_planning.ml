@@ -60,7 +60,15 @@ let () =
     (fun (c : Cell.t) -> Format.printf "  %a@." Cell.pp c)
     nl.Netlist.cells;
   let params = { Twmc_place.Params.default with Twmc_place.Params.a_c = 150 } in
-  let r = Twmc.Flow.run ~params ~seed:5 nl in
+  let rr = Twmc.Flow.run_resilient ~params ~seed:5 nl in
+  let r =
+    match rr.Twmc.Flow.flow with
+    | Some r -> r
+    | None ->
+        Format.printf "no result (%s)@."
+          (Twmc.Flow.status_to_string rr.Twmc.Flow.status);
+        exit 1
+  in
   Format.printf "%a@." Twmc.Flow.pp_result r;
   let p = r.Twmc.Flow.stage2.Twmc.Stage2.placement in
   Array.iteri

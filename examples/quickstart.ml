@@ -49,7 +49,15 @@ let () =
   let nl = netlist () in
   Format.printf "input: %a@." Netlist.pp_summary nl;
   let params = { Twmc_place.Params.default with Twmc_place.Params.a_c = 100 } in
-  let r = Twmc.Flow.run ~params ~seed:7 nl in
+  let rr = Twmc.Flow.run_resilient ~params ~seed:7 nl in
+  let r =
+    match rr.Twmc.Flow.flow with
+    | Some r -> r
+    | None ->
+        Format.printf "no result (%s)@."
+          (Twmc.Flow.status_to_string rr.Twmc.Flow.status);
+        exit 1
+  in
   Format.printf "%a@." Twmc.Flow.pp_result r;
   let p = r.Twmc.Flow.stage2.Twmc.Stage2.placement in
   Array.iteri

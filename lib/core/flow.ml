@@ -113,30 +113,6 @@ let stage1_best ~params ?core ?should_stop ?pool ?(obs = Obs.disabled) ~rng
     in
     (mr.Stage1.best, Some mr)
 
-let run ?(params = Params.default) ?seed ?core ?(jobs = 1) ?(replicas = 1)
-    ?(obs = Obs.disabled) nl =
-  let seed = match seed with Some s -> s | None -> params.Params.seed in
-  let rng = Twmc_sa.Rng.create ~seed in
-  let t0 = Sys.time () in
-  Obs.span obs ~name:"flow"
-    ~attrs:
-      (if Obs.tracing obs then
-         [ ("netlist", Attr.Str nl.Twmc_netlist.Netlist.name);
-           ("cells", Attr.Int (Twmc_netlist.Netlist.n_cells nl));
-           ("seed", Attr.Int seed); ("jobs", Attr.Int jobs);
-           ("replicas", Attr.Int replicas) ]
-       else [])
-    (fun () ->
-      with_optional_pool ~jobs ~obs (fun pool ->
-          let s1, _ =
-            Obs.span obs ~name:"stage1" (fun () ->
-                stage1_best ~params ?core ?pool ~obs ~rng ~replicas nl)
-          in
-          let s2 = Stage2.run ~rng ?pool ~obs s1 in
-          let r = assemble ~t0 nl s1 s2 in
-          record_series obs r;
-          r))
-
 type status = Clean | Degraded | Invalid_input | Timed_out
 
 let status_to_string = function
@@ -163,8 +139,8 @@ let rec mkdir_p d =
     try Sys.mkdir d 0o755 with Sys_error _ -> ()
   end
 
-(* Terminal-status policy, shared by [run_resilient] and [resume] so a
-   resumed flow classifies identically to an uninterrupted one. *)
+(* Terminal-status policy: a resumed flow classifies identically to an
+   uninterrupted one because both end through the same driver. *)
 let flow_status ~strict ~guard ~diags (s1 : Stage1.result) (s2 : Stage2.result)
     =
   let timed_out =
@@ -231,9 +207,33 @@ let iteration_writer ~checkpoint ~write =
         (fun i ->
           if i mod every = 0 then write (Checkpoint.Stage2_iteration i))
 
-let run_resilient ?(params = Params.default) ?seed ?core ?(strict = false)
-    ?time_budget_s ?(max_retries = 2) ?(retry_backoff_s = 0.05) ?(jobs = 1)
-    ?(replicas = 1) ?checkpoint ?flight ?(obs = Obs.disabled) nl =
+(* What an entry point hands the driver: a committed stage 1, the generator
+   stage 2 continues, the seed that generator was created from (recorded in
+   every checkpoint) and the refinement to start at. *)
+type start = {
+  s1 : Stage1.result;
+  rng : Rng.t;
+  seed_used : int;
+  start_iteration : int;
+}
+
+(* What the driver lends an entry point while it produces its [start]. *)
+type env = {
+  add : Diagnostic.t -> unit;
+  guard : Guard.t;
+  pool : Twmc_util.Domain_pool.t option;
+  retries : int ref;
+  write :
+    seed_used:int -> rng:Rng.t -> s1:Stage1.result -> Checkpoint.stage -> unit;
+}
+
+(* The one flow driver behind [run_resilient] and [resume]: lint gate,
+   ["flow"] span, pool, guard, then [enter] (a fresh stage 1 or a restored
+   checkpoint), the guarded stage 2 and the terminal status.  [enter]
+   returns [Error status] when it could not produce a stage 1; it has
+   already recorded the diagnostics that explain why. *)
+let drive ~params ~strict ~time_budget_s ~jobs ~replicas ~checkpoint ~flight
+    ~obs ~seed ~resumed nl (enter : env -> (start, status) Stdlib.result) =
   let diags = ref [] in
   let add d =
     (* Every diagnostic leaves a breadcrumb in the black box, so a
@@ -241,7 +241,6 @@ let run_resilient ?(params = Params.default) ?seed ?core ?(strict = false)
     Twmc_obs.Flight_recorder.note ~detail:d.Diagnostic.code "flow.diag";
     diags := d :: !diags
   in
-  let addl l = List.iter add l in
   let retries = ref 0 in
   let dump_flight () =
     match flight with
@@ -275,278 +274,214 @@ let run_resilient ?(params = Params.default) ?seed ?core ?(strict = false)
     if status <> Clean then dump_flight ();
     { flow; status; diagnostics = List.rev !diags; retries_used = !retries }
   in
-  Twmc_obs.Flight_recorder.note ~detail:nl.Twmc_netlist.Netlist.name
-    ~i:(Twmc_netlist.Netlist.n_cells nl) "flow.start";
   let lint = Lint.netlist nl in
-  addl lint;
+  List.iter add lint;
   if Diagnostic.fatal ~strict lint <> [] then finish None Invalid_input
   else
     match
-    Obs.span obs ~name:"flow"
-      ~attrs:
-        (if Obs.tracing obs then
-           [ ("netlist", Attr.Str nl.Twmc_netlist.Netlist.name);
-             ("cells", Attr.Int (Twmc_netlist.Netlist.n_cells nl));
-             ("jobs", Attr.Int jobs); ("replicas", Attr.Int replicas);
-             ("resilient", Attr.Bool true) ]
-         else [])
-    @@ fun () ->
-    with_optional_pool ~jobs ~obs (fun pool ->
-    let guard = Guard.create ?time_budget_s () in
-    let should_stop = Guard.should_stop guard in
-    let base_seed = match seed with Some s -> s | None -> params.Params.seed in
-    let t0 = Sys.time () in
-    (match checkpoint with Some cfg -> mkdir_p cfg.dir | None -> ());
-    (* Stage 1 with retry-on-failure: a throwing or invariant-violating
-       anneal is retried from a perturbed seed — SA failures are usually
-       trajectory-specific, so a different random walk sidesteps them. *)
-    let rec stage1_attempt attempt =
-      let seed = base_seed + (attempt * 7919) in
-      let rng = Twmc_sa.Rng.create ~seed in
-      let outcome =
-        Guard.stage guard ~name:"stage1"
-          (fun () ->
-            Obs.span obs ~name:"stage1"
-              ~attrs:
-                (if Obs.tracing obs then [ ("attempt", Attr.Int attempt) ]
-                 else [])
-            @@ fun () ->
-            let s1, multi =
-              stage1_best ~params ?core ~should_stop ?pool ~obs ~rng ~replicas
-                nl
-            in
-            (match multi with
-            | Some mr ->
-                add
-                  (Diagnostic.make ~severity:Diagnostic.Info ~entity:"stage1"
-                     ~code:"G404"
-                     (Printf.sprintf
-                        "best-of-%d: replica %d won (cost %.0f of %s)"
-                        replicas mr.Stage1.best_index
-                        mr.Stage1.replica_costs.(mr.Stage1.best_index)
-                        (String.concat ","
-                           (Array.to_list
-                              (Array.map (Printf.sprintf "%.0f")
-                                 mr.Stage1.replica_costs)))))
-            | None -> ());
-            let inv = Invariant.placement s1.Stage1.placement in
-            addl inv;
-            if Diagnostic.has_errors inv then
-              failwith "stage-1 placement invariants violated";
-            s1)
-      in
-      match outcome with
-      | Guard.Ok s1 -> Ok (seed, rng, s1)
-      | Guard.Failed d ->
-          add d;
-          if attempt < max_retries && not (Guard.expired guard) then begin
-            incr retries;
-            let next_seed = base_seed + ((attempt + 1) * 7919) in
-            (* Exponential backoff with deterministic jitter.  The jitter is
-               drawn from a throwaway generator split off the next attempt's
-               seed, so the retry's own stream is exactly what a fresh run
-               at that seed would consume; the delay never exceeds the
-               guard's remaining budget. *)
-            let jitter = Rng.unit_float (Rng.split (Rng.create ~seed:next_seed)) in
-            let delay =
-              retry_backoff_s *. (2.0 ** float_of_int attempt) *. (0.5 +. jitter)
-            in
-            let delay =
-              match Guard.remaining_s guard with
-              | None -> delay
-              | Some r -> Float.min delay (Float.max 0.0 r)
-            in
-            add
-              (Diagnostic.make ~severity:Diagnostic.Info ~entity:"stage1"
-                 ~code:"G403"
-                 (Printf.sprintf
-                    "retrying with perturbed seed %d after %.1f ms backoff"
-                    next_seed (delay *. 1000.0)));
-            Guard.sleep_s delay;
-            stage1_attempt (attempt + 1)
-          end
-          else Error d
-    in
-    match stage1_attempt 0 with
-    | Error last ->
-        (* Surface the root cause: the summary diagnostic carries the last
-           attempt's failing code so callers (and the CLI) see *why* stage 1
-           never succeeded, and a budget-driven exhaustion reports
-           [Timed_out] rather than a generic degradation. *)
-        add
-          (Diagnostic.make ~severity:Diagnostic.Error ~entity:"stage1"
-             ~code:"G405"
-             (Printf.sprintf
-                "stage 1 failed on all %d attempt(s); last failure: [%s] %s"
-                (!retries + 1) last.Diagnostic.code last.Diagnostic.message));
-        finish None (if Guard.expired guard then Timed_out else Degraded)
-    | Ok (seed_used, rng, s1) ->
-        let write_ckpt =
-          durable_writer ~add ~params ~nl ~checkpoint ~seed_used ~rng ~s1
-        in
-        write_ckpt Checkpoint.Stage1_done;
-        let on_iteration = iteration_writer ~checkpoint ~write:write_ckpt in
-        let s2 =
-          Stage2.run ~rng ~should_stop ~resilient:true ?pool ~obs ?on_iteration
-            s1
-        in
-        addl s2.Stage2.diagnostics;
-        let r = assemble ~t0 nl s1 s2 in
-        record_series obs r;
-        finish (Some r) (flow_status ~strict ~guard ~diags:!diags s1 s2))
+      Obs.span obs ~name:"flow"
+        ~attrs:
+          (if Obs.tracing obs then
+             [ ("netlist", Attr.Str nl.Twmc_netlist.Netlist.name);
+               ("cells", Attr.Int (Twmc_netlist.Netlist.n_cells nl));
+               ("seed", Attr.Int seed); ("jobs", Attr.Int jobs);
+               ("replicas", Attr.Int replicas) ]
+             @ if resumed then [ ("resumed", Attr.Bool true) ] else []
+           else [])
+      @@ fun () ->
+      with_optional_pool ~jobs ~obs @@ fun pool ->
+      let guard = Guard.create ?time_budget_s () in
+      let t0 = Sys.time () in
+      (match checkpoint with Some cfg -> mkdir_p cfg.dir | None -> ());
+      let write = durable_writer ~add ~params ~nl ~checkpoint in
+      match enter { add; guard; pool; retries; write } with
+      | Error status -> finish None status
+      | Ok { s1; rng; seed_used; start_iteration } ->
+          let on_iteration =
+            iteration_writer ~checkpoint ~write:(write ~seed_used ~rng ~s1)
+          in
+          let s2 =
+            Stage2.run ~rng ~should_stop:(Guard.should_stop guard) ?pool ~obs
+              ~start_iteration ?on_iteration s1
+          in
+          List.iter add s2.Stage2.diagnostics;
+          let r = assemble ~t0 nl s1 s2 in
+          record_series obs r;
+          finish (Some r) (flow_status ~strict ~guard ~diags:!diags s1 s2)
     with
     | r -> r
     | exception e ->
         (* A crash (resource exhaustion, or the fault injector's simulated
-           process death) escapes [run_resilient]'s guards by design; the
-           flight recorder is dumped on the way out so the last entries
-           name the site that was executing. *)
+           process death) escapes the guards by design; the flight recorder
+           is dumped on the way out so the last entries name the site that
+           was executing. *)
         dump_flight ();
         raise e
 
+(* Between stage-1 retries the driver sleeps
+   [retry_backoff_s · 2^attempt · (0.5 + jitter)]. *)
+let retry_backoff_s = 0.05
+
+let run_resilient ?(params = Params.default) ?seed ?core ?(strict = false)
+    ?time_budget_s ?(max_retries = 2) ?(jobs = 1) ?(replicas = 1) ?checkpoint
+    ?flight ?(obs = Obs.disabled) nl =
+  let base_seed = match seed with Some s -> s | None -> params.Params.seed in
+  Twmc_obs.Flight_recorder.note ~detail:nl.Twmc_netlist.Netlist.name
+    ~i:(Twmc_netlist.Netlist.n_cells nl) "flow.start";
+  drive ~params ~strict ~time_budget_s ~jobs ~replicas ~checkpoint ~flight ~obs
+    ~seed:base_seed ~resumed:false nl
+  @@ fun { add; guard; pool; retries; write } ->
+  let should_stop = Guard.should_stop guard in
+  (* Stage 1 with retry-on-failure: a throwing or invariant-violating
+     anneal is retried from a perturbed seed — SA failures are usually
+     trajectory-specific, so a different random walk sidesteps them. *)
+  let rec stage1_attempt attempt =
+    let seed = base_seed + (attempt * 7919) in
+    let rng = Twmc_sa.Rng.create ~seed in
+    let outcome =
+      Guard.stage guard ~name:"stage1"
+        (fun () ->
+          Obs.span obs ~name:"stage1"
+            ~attrs:
+              (if Obs.tracing obs then [ ("attempt", Attr.Int attempt) ]
+               else [])
+          @@ fun () ->
+          let s1, multi =
+            stage1_best ~params ?core ~should_stop ?pool ~obs ~rng ~replicas nl
+          in
+          (match multi with
+          | Some mr ->
+              add
+                (Diagnostic.make ~severity:Diagnostic.Info ~entity:"stage1"
+                   ~code:"G404"
+                   (Printf.sprintf
+                      "best-of-%d: replica %d won (cost %.0f of %s)"
+                      replicas mr.Stage1.best_index
+                      mr.Stage1.replica_costs.(mr.Stage1.best_index)
+                      (String.concat ","
+                         (Array.to_list
+                            (Array.map (Printf.sprintf "%.0f")
+                               mr.Stage1.replica_costs)))))
+          | None -> ());
+          let inv = Invariant.placement s1.Stage1.placement in
+          List.iter add inv;
+          if Diagnostic.has_errors inv then
+            failwith "stage-1 placement invariants violated";
+          s1)
+    in
+    match outcome with
+    | Guard.Ok s1 -> Ok (seed, rng, s1)
+    | Guard.Failed d ->
+        add d;
+        if attempt < max_retries && not (Guard.expired guard) then begin
+          incr retries;
+          let next_seed = base_seed + ((attempt + 1) * 7919) in
+          (* Exponential backoff with deterministic jitter.  The jitter is
+             drawn from a throwaway generator split off the next attempt's
+             seed, so the retry's own stream is exactly what a fresh run
+             at that seed would consume; the delay never exceeds the
+             guard's remaining budget. *)
+          let jitter = Rng.unit_float (Rng.split (Rng.create ~seed:next_seed)) in
+          let delay =
+            retry_backoff_s *. (2.0 ** float_of_int attempt) *. (0.5 +. jitter)
+          in
+          let delay =
+            match Guard.remaining_s guard with
+            | None -> delay
+            | Some r -> Float.min delay (Float.max 0.0 r)
+          in
+          add
+            (Diagnostic.make ~severity:Diagnostic.Info ~entity:"stage1"
+               ~code:"G403"
+               (Printf.sprintf
+                  "retrying with perturbed seed %d after %.1f ms backoff"
+                  next_seed (delay *. 1000.0)));
+          Guard.sleep_s delay;
+          stage1_attempt (attempt + 1)
+        end
+        else Error d
+  in
+  match stage1_attempt 0 with
+  | Error last ->
+      (* Surface the root cause: the summary diagnostic carries the last
+         attempt's failing code so callers (and the CLI) see *why* stage 1
+         never succeeded, and a budget-driven exhaustion reports
+         [Timed_out] rather than a generic degradation. *)
+      add
+        (Diagnostic.make ~severity:Diagnostic.Error ~entity:"stage1"
+           ~code:"G405"
+           (Printf.sprintf
+              "stage 1 failed on all %d attempt(s); last failure: [%s] %s"
+              (!retries + 1) last.Diagnostic.code last.Diagnostic.message));
+      Error (if Guard.expired guard then Timed_out else Degraded)
+  | Ok (seed_used, rng, s1) ->
+      write ~seed_used ~rng ~s1 Checkpoint.Stage1_done;
+      Ok { s1; rng; seed_used; start_iteration = 1 }
+
 let resume ?(params = Params.default) ?(strict = false) ?time_budget_s
     ?(jobs = 1) ?checkpoint ?flight ?(obs = Obs.disabled) ~path nl =
-  let diags = ref [] in
-  let add d =
-    Twmc_obs.Flight_recorder.note ~detail:d.Diagnostic.code "flow.diag";
-    diags := d :: !diags
-  in
-  let addl l = List.iter add l in
-  let dump_flight () =
-    match flight with
-    | None -> ()
-    | Some p -> Twmc_obs.Flight_recorder.dump p
-  in
-  let finish flow status =
-    if
-      status = Timed_out
-      && not (List.exists (fun d -> d.Diagnostic.code = "G401") !diags)
-    then add (Guard.timeout_diag ~name:"flow");
-    if Obs.metrics_on obs then
-      Metrics.set
-        (Metrics.gauge obs.Obs.metrics "flow.diagnostics")
-        (float_of_int (List.length !diags));
-    if Obs.tracing obs then
-      Obs.point obs ~name:"flow.status"
-        ~attrs:
-          [ ("status", Attr.Str (status_to_string status));
-            ("resumed", Attr.Bool true) ]
-        ();
-    Twmc_obs.Flight_recorder.note ~detail:(status_to_string status)
-      "flow.status";
-    if status <> Clean then dump_flight ();
-    { flow; status; diagnostics = List.rev !diags; retries_used = 0 }
-  in
-  let invalid fmt =
-    Printf.ksprintf
-      (fun m ->
-        add
-          (Diagnostic.make ~severity:Diagnostic.Error ~entity:"checkpoint"
-             ~code:"G412" m);
-        finish None Invalid_input)
-      fmt
-  in
   Twmc_obs.Flight_recorder.note ~detail:nl.Twmc_netlist.Netlist.name
     "flow.resume";
-  let lint = Lint.netlist nl in
-  addl lint;
-  if Diagnostic.fatal ~strict lint <> [] then finish None Invalid_input
-  else
+  let loaded =
     match Checkpoint.load ~path ~netlist:nl ~params with
-    | Error m -> invalid "cannot resume from %s: %s" path m
+    | Error m -> Error m
     | Ok d -> (
         match Rng.of_binary_string d.Checkpoint.rng_cursor with
-        | None -> invalid "cannot resume from %s: RNG cursor does not deserialize" path
-        | Some rng ->
-            match
-            Obs.span obs ~name:"flow"
-              ~attrs:
-                (if Obs.tracing obs then
-                   [ ("netlist", Attr.Str nl.Twmc_netlist.Netlist.name);
-                     ("cells", Attr.Int (Twmc_netlist.Netlist.n_cells nl));
-                     ("jobs", Attr.Int jobs); ("resumed", Attr.Bool true) ]
-                 else [])
-            @@ fun () ->
-            with_optional_pool ~jobs ~obs (fun pool ->
-                let guard = Guard.create ?time_budget_s () in
-                let should_stop = Guard.should_stop guard in
-                let t0 = Sys.time () in
-                (match checkpoint with
-                | Some cfg -> mkdir_p cfg.dir
-                | None -> ());
-                (* Reattach the derivable parts the payload stores only as
-                   markers: a stage-1 [Dynamic] expander is rebuilt from
-                   (params, netlist, stage-1 core) — the same inputs the
-                   original run used — before restoring the snapshot. *)
-                let d =
-                  if d.Checkpoint.dynamic_expander then
-                    let s1_core = d.Checkpoint.s1.Checkpoint.s1_core in
-                    Checkpoint.with_expander d
-                      (Placement.Dynamic
-                         (Twmc_estimator.Dynamic_area.create
-                            ~beta:params.Params.beta
-                            ~core_w:(Rect.width s1_core)
-                            ~core_h:(Rect.height s1_core) nl))
-                  else d
-                in
-                let p =
-                  Placement.create ~params
-                    ~core:(Checkpoint.core_of d.Checkpoint.snapshot)
-                    ~expander:Placement.No_expansion
-                    ~rng:(Rng.create ~seed:d.Checkpoint.seed_used)
-                    nl
-                in
-                Checkpoint.restore p d.Checkpoint.snapshot;
-                let s = d.Checkpoint.s1 in
-                let s1 =
-                  { Stage1.placement = p;
-                    t_inf = s.Checkpoint.s1_t_inf;
-                    s_t = s.Checkpoint.s1_s_t;
-                    core = s.Checkpoint.s1_core;
-                    teil = s.Checkpoint.s1_teil;
-                    c1 = s.Checkpoint.s1_c1;
-                    residual_overlap = s.Checkpoint.s1_residual_overlap;
-                    chip = s.Checkpoint.s1_chip;
-                    move_stats = Moves.make_stats ();
-                    trace = [];
-                    temperatures_visited = s.Checkpoint.s1_temperatures;
-                    interrupted = false }
-                in
-                let start_iteration =
-                  match d.Checkpoint.stage with
-                  | Checkpoint.Stage1_done -> 1
-                  | Checkpoint.Stage2_iteration k -> k + 1
-                in
-                add
-                  (Diagnostic.make ~severity:Diagnostic.Info
-                     ~entity:"checkpoint" ~code:"G413"
-                     (Printf.sprintf
-                        "resumed from %s at stage-2 iteration %d (checkpoint: %s)"
-                        path start_iteration
-                        (match d.Checkpoint.stage with
-                        | Checkpoint.Stage1_done -> "after stage 1"
-                        | Checkpoint.Stage2_iteration k ->
-                            Printf.sprintf "after refinement %d" k)));
-                let write_ckpt =
-                  durable_writer ~add ~params ~nl ~checkpoint
-                    ~seed_used:d.Checkpoint.seed_used ~rng ~s1
-                in
-                let on_iteration =
-                  iteration_writer ~checkpoint ~write:write_ckpt
-                in
-                let s2 =
-                  Stage2.run ~rng ~should_stop ~resilient:true ?pool ~obs
-                    ~start_iteration ?on_iteration s1
-                in
-                addl s2.Stage2.diagnostics;
-                let r = assemble ~t0 nl s1 s2 in
-                record_series obs r;
-                finish (Some r) (flow_status ~strict ~guard ~diags:!diags s1 s2))
-            with
-            | r -> r
-            | exception e ->
-                dump_flight ();
-                raise e)
+        | None -> Error "RNG cursor does not deserialize"
+        | Some rng -> Ok (d, rng))
+  in
+  let seed =
+    match loaded with
+    | Ok (d, _) -> d.Checkpoint.seed_used
+    | Error _ -> params.Params.seed
+  in
+  drive ~params ~strict ~time_budget_s ~jobs ~replicas:1 ~checkpoint ~flight
+    ~obs ~seed ~resumed:true nl
+  @@ fun { add; _ } ->
+  match loaded with
+  | Error m ->
+      add
+        (Diagnostic.make ~severity:Diagnostic.Error ~entity:"checkpoint"
+           ~code:"G412"
+           (Printf.sprintf "cannot resume from %s: %s" path m));
+      Error Invalid_input
+  | Ok (d, rng) ->
+      let p =
+        Placement.create ~params
+          ~core:(Checkpoint.core_of d.Checkpoint.snapshot)
+          ~expander:Placement.No_expansion
+          ~rng:(Rng.create ~seed:d.Checkpoint.seed_used)
+          nl
+      in
+      Checkpoint.restore p d.Checkpoint.snapshot;
+      let s = d.Checkpoint.s1 in
+      let s1 =
+        { Stage1.placement = p;
+          t_inf = s.Checkpoint.s1_t_inf;
+          s_t = s.Checkpoint.s1_s_t;
+          core = s.Checkpoint.s1_core;
+          teil = s.Checkpoint.s1_teil;
+          c1 = s.Checkpoint.s1_c1;
+          residual_overlap = s.Checkpoint.s1_residual_overlap;
+          chip = s.Checkpoint.s1_chip;
+          move_stats = Moves.make_stats ();
+          trace = [];
+          temperatures_visited = s.Checkpoint.s1_temperatures;
+          interrupted = false }
+      in
+      let start_iteration, after =
+        match d.Checkpoint.stage with
+        | Checkpoint.Stage1_done -> (1, "after stage 1")
+        | Checkpoint.Stage2_iteration k ->
+            (k + 1, Printf.sprintf "after refinement %d" k)
+      in
+      add
+        (Diagnostic.make ~severity:Diagnostic.Info ~entity:"checkpoint"
+           ~code:"G413"
+           (Printf.sprintf
+              "resumed from %s at stage-2 iteration %d (checkpoint: %s)" path
+              start_iteration after));
+      Ok { s1; rng; seed_used = d.Checkpoint.seed_used; start_iteration }
 
 let pp_result ppf r =
   Format.fprintf ppf

@@ -16,40 +16,6 @@ type result = {
   elapsed_s : float;
 }
 
-val run :
-  ?params:Twmc_place.Params.t ->
-  ?seed:int ->
-  ?core:Twmc_geometry.Rect.t ->
-  ?jobs:int ->
-  ?replicas:int ->
-  ?obs:Twmc_obs.Ctx.t ->
-  Twmc_netlist.Netlist.t ->
-  result
-(** [seed] (default the params' seed) drives every stochastic choice; runs
-    are reproducible.
-
-    [core] overrides the stage-1 core region (default: sized by
-    {!Twmc_estimator.Core_area} and centered on the origin) — the QA
-    harness uses this to drive deliberately undersized or degenerate core
-    specs through the flow.
-
-    [replicas] (default 1) runs stage 1 as that many independent annealing
-    replicas — Sechen's seed-parallel multi-start — and keeps the placement
-    with the lowest total cost (ties to the lowest replica index).  [jobs]
-    (default 1) is the number of domains used to execute replicas and the
-    per-net route enumeration.  [jobs] is pure mechanism: for a fixed
-    [(seed, replicas)] the result is bit-identical whatever [jobs] is;
-    only [replicas] changes the answer.
-
-    [obs] (default {!Twmc_obs.Ctx.disabled}, zero overhead) threads tracing
-    and metrics through every stage: a ["flow"] span containing ["stage1"]
-    / ["stage2"] / routing child spans and per-temperature points, plus
-    counters, histograms and the trajectory series
-    ([stage1.acceptance], [stage1.c1]/[c2]/[c3], [stage2.acceptance],
-    [route.overflow], [pool.utilization], ...).  Instrumentation only reads
-    algorithm state — for a fixed [(seed, replicas)] the result is
-    bit-identical with observability on or off, at any [jobs]. *)
-
 type status =
   | Clean  (** Completed with nothing fatal (exit code 0). *)
   | Degraded
@@ -93,7 +59,6 @@ val run_resilient :
   ?strict:bool ->
   ?time_budget_s:float ->
   ?max_retries:int ->
-  ?retry_backoff_s:float ->
   ?jobs:int ->
   ?replicas:int ->
   ?checkpoint:checkpoint_cfg ->
@@ -101,25 +66,39 @@ val run_resilient :
   ?obs:Twmc_obs.Ctx.t ->
   Twmc_netlist.Netlist.t ->
   resilient_result
-(** Guarded end-to-end flow: never raises (resource-exhaustion exceptions
-    and the fault injector's simulated process death excepted).  The
-    netlist is linted first ([strict], default false, also promotes
+(** The end-to-end flow, guarded: never raises (resource-exhaustion
+    exceptions and the fault injector's simulated process death excepted).
+    The netlist is linted first ([strict], default false, also promotes
     warnings to fatal); stage 1 is retried with perturbed seeds up to
-    [max_retries] (default 2) times on failure; stage 2 runs with
-    checkpoint/rollback; [time_budget_s] converts both anneals into
-    cooperatively-interruptible loops that return the best-so-far
-    configuration once the wall clock expires.  [core] behaves as in
-    {!run}.  [jobs]/[replicas] behave as in {!run}; when [replicas > 1] an
-    Info diagnostic (G404) records every replica's final cost and the
-    winner.  The wall-clock guard is shared: every replica polls the same
-    budget.
+    [max_retries] (default 2) times on failure; stage 2 rolls back any
+    refinement that raises or breaks an invariant; [time_budget_s]
+    converts both anneals into cooperatively-interruptible loops that
+    return the best-so-far configuration once the wall clock expires.
+
+    [seed] (default the params' seed) drives every stochastic choice; runs
+    are reproducible.
+
+    [core] overrides the stage-1 core region (default: sized by
+    {!Twmc_estimator.Core_area} and centered on the origin) — the QA
+    harness uses this to drive deliberately undersized or degenerate core
+    specs through the flow.
+
+    [replicas] (default 1) runs stage 1 as that many independent annealing
+    replicas — Sechen's seed-parallel multi-start — and keeps the placement
+    with the lowest total cost (ties to the lowest replica index); an Info
+    diagnostic (G404) records every replica's final cost and the winner.
+    [jobs] (default 1) is the number of domains used to execute replicas
+    and the per-net route enumeration.  [jobs] is pure mechanism: for a
+    fixed [(seed, replicas)] the result is bit-identical whatever [jobs]
+    is; only [replicas] changes the answer.  The wall-clock guard is
+    shared: every replica polls the same budget.
 
     Between retries the driver sleeps an exponential backoff
-    [retry_backoff_s · 2{^attempt} · (0.5 + jitter)] (default base 50 ms),
-    where [jitter ∈ \[0, 1)] is drawn from a throwaway generator split off
-    the next attempt's seed — deterministic, and invisible to the retry's
-    own stream.  The delay is capped by the guard's remaining budget and
-    recorded in the [G403] diagnostic.
+    [50 ms · 2{^attempt} · (0.5 + jitter)], where [jitter ∈ \[0, 1)] is
+    drawn from a throwaway generator split off the next attempt's seed —
+    deterministic, and invisible to the retry's own stream.  The delay is
+    capped by the guard's remaining budget and recorded in the [G403]
+    diagnostic.
 
     When stage 1 fails on every attempt, the result carries a [G405]
     {e error} diagnostic naming the last attempt's failing code and message
@@ -135,8 +114,16 @@ val run_resilient :
     {b reproduces the uninterrupted run's final placement and routing
     byte-for-byte}.
 
-    [obs] behaves as in {!run}, with additionally a [flow.retries] counter,
-    a per-attempt ["stage1"] span and a final ["flow.status"] point.
+    [obs] (default {!Twmc_obs.Ctx.disabled}, zero overhead) threads tracing
+    and metrics through every stage: a ["flow"] span (attributes
+    [netlist], [cells], [seed], [jobs], [replicas]) containing one
+    ["stage1"] span per attempt, the ["stage2"] / routing child spans and
+    per-temperature points, a final ["flow.status"] point, plus counters
+    ([flow.retries], ...), histograms and the trajectory series
+    ([stage1.acceptance], [stage1.c1]/[c2]/[c3], [stage2.acceptance],
+    [route.overflow], [pool.utilization], ...).  Instrumentation only reads
+    algorithm state — for a fixed [(seed, replicas)] the result is
+    bit-identical with observability on or off, at any [jobs].
 
     [flight] names a JSONL file for the {!Twmc_obs.Flight_recorder} black
     box: the ring of recent events is dumped there on any non-Clean
@@ -156,18 +143,24 @@ val resume :
   path:string ->
   Twmc_netlist.Netlist.t ->
   resilient_result
-(** Re-enter a flow from a durable checkpoint file.  [flight] behaves as
-    in {!run_resilient}.
+(** Re-enter a flow from a durable checkpoint file and finish it through
+    the same driver as {!run_resilient}: the same lint gate, guarded
+    stage 2, terminal-status policy and [flight] dump.
 
     The checkpoint is validated first — format version, payload
     length/MD5, netlist fingerprint against [nl], parameter fingerprint
-    against [params] — and any mismatch (including a torn or truncated
+    against [params], a stage tag no later than the last refinement — and
+    any mismatch (including a torn or truncated
     file) yields [Invalid_input] with a [G412] error diagnostic; corrupt
     input never raises and never half-restores.  On success the placement,
     the stage-1 metadata and the RNG stream are restored exactly as the
     writing flow left them at the boundary, a [G413] Info diagnostic
     records the re-entry point, and stage 2 continues from the following
     iteration (a [Stage1_done] checkpoint re-enters at iteration 1).
+
+    The result reports [retries_used = 0] (the [flow.retries] counter is
+    0 too), and the ["flow"] span carries [resumed = true] with the
+    checkpoint's seed and [replicas = 1].
 
     Because stage-2 iteration boundaries are canonical (every refinement
     starts by re-deriving channels from the placement alone and every

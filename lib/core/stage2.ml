@@ -264,8 +264,8 @@ let refine_once ~rng ?(final = false) ?should_stop ?pool ?(obs = Obs.disabled)
         ~detail:(if final then "final" else "refine")
         "stage2.refine";
       (* Fault site: fires per refinement execution, before any mutation, so
-         an injected exception leaves the snapshot taken by the resilient
-         driver as the authoritative state. *)
+         an injected exception leaves the snapshot taken by [run] as the
+         authoritative state. *)
       Twmc_util.Fault.point "stage2.refine";
       let route = channel_and_route ?should_stop ?pool ~obs ~rng p in
       let exps = required_expansions p route in
@@ -286,9 +286,8 @@ let refine_once ~rng ?(final = false) ?should_stop ?pool ?(obs = Obs.disabled)
       in
       (it, route, trace))
 
-let run ~rng ?(should_stop = fun () -> false) ?(resilient = false) ?pool
-    ?(obs = Obs.disabled) ?(start_iteration = 1) ?on_iteration
-    (s1 : Stage1.result) =
+let run ~rng ?(should_stop = fun () -> false) ?pool ?(obs = Obs.disabled)
+    ?(start_iteration = 1) ?on_iteration (s1 : Stage1.result) =
   let p = s1.Stage1.placement in
   let prm = Placement.params p in
   let n = max 1 prm.Params.refinement_iterations in
@@ -334,15 +333,6 @@ let run ~rng ?(should_stop = fun () -> false) ?(resilient = false) ?pool
     if should_stop () then begin
       if not (List.exists (fun d -> d.Diagnostic.code = "G401") !diags) then
         add (Guard.timeout_diag ~name)
-    end
-    else if not resilient then begin
-      let it, _route, trace =
-        refine_once ~rng ~final:(i = n) ~should_stop ?pool ~obs ~iteration:i p
-      in
-      iterations := it :: !iterations;
-      traces := trace :: !traces;
-      observe_iteration i it;
-      boundary i
     end
     else begin
       (* Guarded iteration: snapshot first, then roll back if the
@@ -394,16 +384,13 @@ let run ~rng ?(should_stop = fun () -> false) ?(resilient = false) ?pool
       (Metrics.counter obs.Obs.metrics "stage2.rollbacks")
       !rollbacks;
   (* A final routing pass reflecting the refined placement. *)
-  let route_final () =
-    Obs.span obs ~name:"stage2.final_route" (fun () ->
-        channel_and_route ?should_stop:(if resilient then Some should_stop else None)
-          ?pool ~obs ~rng p)
-  in
   let final_route =
-    if not resilient then Some (route_final ())
-    else if should_stop () then None
+    if should_stop () then None
     else
-      match route_final () with
+      match
+        Obs.span obs ~name:"stage2.final_route" (fun () ->
+            channel_and_route ~should_stop ?pool ~obs ~rng p)
+      with
       | r ->
           List.iter add (Invariant.channel_graph r.Router.graph);
           List.iter add (Invariant.route r);

@@ -29,7 +29,7 @@ let run ?(acs = default_acs) ?out_csv (profile : Profile.t) ppf =
         List.iter
           (fun seed ->
             let nl = Twmc_workload.Synth.generate ~seed spec in
-            let r = Twmc.Flow.run ~params ~seed:(2000 + seed) nl in
+            let r = Profile.flow ~params ~seed:(2000 + seed) nl in
             teil := !teil +. r.Twmc.Flow.teil_final;
             area := !area +. float_of_int r.Twmc.Flow.area_final;
             time := !time +. r.Twmc.Flow.elapsed_s;

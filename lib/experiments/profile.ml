@@ -33,3 +33,13 @@ let params p =
     Twmc_place.Params.a_c = p.a_c;
     m_routes = p.m_routes;
     route_effort = (if p.name = "full" then 12 else 4) }
+
+let flow ~params ~seed nl =
+  let rr = Twmc.Flow.run_resilient ~params ~seed nl in
+  match rr.Twmc.Flow.flow with
+  | Some r -> r
+  | None ->
+      failwith
+        (Printf.sprintf "flow on %s produced no result (%s)"
+           nl.Twmc_netlist.Netlist.name
+           (Twmc.Flow.status_to_string rr.Twmc.Flow.status))

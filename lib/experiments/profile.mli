@@ -22,3 +22,11 @@ val of_name : string -> t option
 
 val params : t -> Twmc_place.Params.t
 (** Default parameters with the profile's A_c and M. *)
+
+val flow :
+  params:Twmc_place.Params.t ->
+  seed:int ->
+  Twmc_netlist.Netlist.t ->
+  Twmc.Flow.result
+(** {!Twmc.Flow.run_resilient}'s result; raises [Failure] naming the status
+    when the flow produced none. *)

@@ -24,7 +24,7 @@ let run ?out_csv (profile : Profile.t) ppf =
         for trial = 1 to trials do
           let nl = Circuits.netlist ~seed:trial name in
           if !nl0 = None then nl0 := Some nl;
-          let r = Twmc.Flow.run ~params ~seed:(100 + trial) nl in
+          let r = Profile.flow ~params ~seed:(100 + trial) nl in
           teil_red :=
             !teil_red
             +. (100.0

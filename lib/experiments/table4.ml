@@ -40,7 +40,7 @@ let run ?out_csv (profile : Profile.t) ppf =
         let best =
           List.fold_left
             (fun acc seed ->
-              let r = Twmc.Flow.run ~params ~seed nl in
+              let r = Profile.flow ~params ~seed nl in
               match acc with
               | Some (b : Twmc.Flow.result)
                 when b.Twmc.Flow.teil_final <= r.Twmc.Flow.teil_final ->

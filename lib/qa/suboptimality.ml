@@ -30,8 +30,13 @@ let measure ~algo ~params ~seed nl =
       let r = Stage1.run ~params ~rng:(Rng.create ~seed) nl in
       r.Stage1.teil
   | "stage2" ->
-      let r = Flow.run ~params ~seed nl in
-      r.Flow.teil_final
+      let rr = Flow.run_resilient ~params ~seed nl in
+      (match rr.Flow.flow with
+      | Some r -> r.Flow.teil_final
+      | None ->
+          failwith
+            (Printf.sprintf "Suboptimality: flow produced no result (%s)"
+               (Flow.status_to_string rr.Flow.status)))
   | _ -> (
       match List.assoc_opt algo Twmc_baselines.comparators with
       | None -> invalid_arg (Printf.sprintf "Suboptimality: unknown algorithm %S" algo)

@@ -18,7 +18,6 @@ type t = {
   expander : Placement.expander;
   p2 : float;
   teil : float;
-  cost : float;
 }
 
 let capture p =
@@ -43,8 +42,7 @@ let capture p =
     core = Placement.core p;
     expander;
     p2 = Placement.p2 p;
-    teil = Placement.teil p;
-    cost = Placement.total_cost p }
+    teil = Placement.teil p }
 
 let restore p t =
   Placement.set_core p t.core;
@@ -58,7 +56,6 @@ let restore p t =
   Placement.recompute_all p
 
 let teil t = t.teil
-let cost t = t.cost
 let core_of t = t.core
 
 (* ------------------------------------------------- durable checkpoints *)
@@ -81,34 +78,16 @@ type durable = {
   seed_used : int;
   rng_cursor : string;
   snapshot : t;
-  dynamic_expander : bool;
   s1 : s1_summary;
 }
 
-(* The marshaled payload is pure data: the [Dynamic] expander (which holds
-   the estimator's lookup structures) is reduced to a marker and
-   reconstructed deterministically at resume from (params, netlist, stage-1
-   core) — see [Flow.resume]. *)
-type expander_repr =
-  | R_none
-  | R_static of (int * int * int * int) array
-  | R_dynamic
+(* The marshaled payload is pure data: a [Dynamic] expander (which holds
+   the estimator's lookup structures) is stored as [No_expansion] with
+   [dynamic] set, and [load] rebuilds it from (params, netlist, stage-1
+   core) — the inputs stage 1 built it from. *)
+type payload = { durable : durable; dynamic : bool; params_md5 : string }
 
-type payload = {
-  p_stage : stage;
-  p_seed_used : int;
-  p_rng : string;
-  p_cells : cell_state array;
-  p_core : Rect.t;
-  p_expander : expander_repr;
-  p_p2 : float;
-  p_teil : float;
-  p_cost : float;
-  p_s1 : s1_summary;
-  p_params_md5 : string;
-}
-
-let magic = "twmc-checkpoint v1"
+let magic = "twmc-checkpoint v2"
 
 let stage_to_string = function
   | Stage1_done -> "stage1"
@@ -128,41 +107,18 @@ let netlist_md5 nl = Digest.to_hex (Digest.string (Twmc_netlist.Writer.to_string
 let params_md5 (prm : Params.t) = Digest.to_hex (Digest.string (Marshal.to_string prm []))
 
 let durable ~stage ~seed_used ~rng_cursor ~s1 p =
-  let snapshot = capture p in
-  let dynamic_expander =
-    match snapshot.expander with Placement.Dynamic _ -> true | _ -> false
-  in
-  let snapshot =
-    if dynamic_expander then { snapshot with expander = Placement.No_expansion }
-    else snapshot
-  in
-  { stage; seed_used; rng_cursor; snapshot; dynamic_expander; s1 }
-
-let with_expander d expander =
-  { d with snapshot = { d.snapshot with expander } }
+  { stage; seed_used; rng_cursor; snapshot = capture p; s1 }
 
 let save ~path ~netlist ~params d =
-  let p_expander =
-    if d.dynamic_expander then R_dynamic
-    else
-      match d.snapshot.expander with
-      | Placement.No_expansion -> R_none
-      | Placement.Static a -> R_static a
-      | Placement.Dynamic _ -> R_dynamic
+  let dynamic, snapshot =
+    match d.snapshot.expander with
+    | Placement.Dynamic _ ->
+        (true, { d.snapshot with expander = Placement.No_expansion })
+    | _ -> (false, d.snapshot)
   in
   let payload =
     Marshal.to_string
-      ({ p_stage = d.stage;
-         p_seed_used = d.seed_used;
-         p_rng = d.rng_cursor;
-         p_cells = d.snapshot.cells;
-         p_core = d.snapshot.core;
-         p_expander;
-         p_p2 = d.snapshot.p2;
-         p_teil = d.snapshot.teil;
-         p_cost = d.snapshot.cost;
-         p_s1 = d.s1;
-         p_params_md5 = params_md5 params }
+      ({ durable = { d with snapshot }; dynamic; params_md5 = params_md5 params }
         : payload)
       []
   in
@@ -255,34 +211,36 @@ let load ~path ~netlist ~params =
     | p -> Ok p
     | exception _ -> err "payload does not deserialize"
   in
+  let d = p.durable in
   let* () =
-    if p.p_stage = header_stage then Ok ()
+    if d.stage = header_stage then Ok ()
     else err "stage tag disagrees with payload"
   in
   let* () =
     let actual = params_md5 params in
-    if p.p_params_md5 = actual then Ok ()
+    if p.params_md5 = actual then Ok ()
     else
       err
         "checkpoint was taken under different parameters (fingerprint %s, \
          current %s); resume with the original settings"
-        p.p_params_md5 actual
+        p.params_md5 actual
   in
-  let expander =
-    match p.p_expander with
-    | R_none | R_dynamic -> Placement.No_expansion
-    | R_static a -> Placement.Static a
+  let* () =
+    (* Stage 2 runs at least one refinement (see [Stage2.run]). *)
+    let last = max 1 params.Params.refinement_iterations in
+    match d.stage with
+    | Stage2_iteration k when k > last ->
+        err "stage tag %s is past the last refinement (%d)"
+          (stage_to_string d.stage) last
+    | _ -> Ok ()
   in
-  Ok
-    { stage = p.p_stage;
-      seed_used = p.p_seed_used;
-      rng_cursor = p.p_rng;
-      snapshot =
-        { cells = p.p_cells;
-          core = p.p_core;
-          expander;
-          p2 = p.p_p2;
-          teil = p.p_teil;
-          cost = p.p_cost };
-      dynamic_expander = (p.p_expander = R_dynamic);
-      s1 = p.p_s1 }
+  if not p.dynamic then Ok d
+  else
+    let core = d.s1.s1_core in
+    let estimator =
+      Twmc_estimator.Dynamic_area.create ~beta:params.Params.beta
+        ~core_w:(Rect.width core) ~core_h:(Rect.height core) netlist
+    in
+    Ok
+      { d with
+        snapshot = { d.snapshot with expander = Placement.Dynamic estimator } }

@@ -14,7 +14,7 @@
     {!Twmc_util.Atomic_io}:
 
     {v
-    twmc-checkpoint v1
+    twmc-checkpoint v2
     netlist <md5 of the netlist's canonical text>
     stage stage1 | stage2:<k>
     payload <byte length> <md5 of the payload>
@@ -24,7 +24,8 @@
     {!load} refuses (with a typed [Error]) any file whose version, netlist
     fingerprint, payload length/MD5, stage tag or parameter fingerprint does
     not match — a torn, truncated, or mismatched checkpoint can never be
-    resumed silently. *)
+    resumed silently.  A file of an earlier version is refused by its first
+    line, before any payload is unmarshaled. *)
 
 type t
 
@@ -36,7 +37,6 @@ val restore : Twmc_place.Placement.t -> t -> unit
     over the same netlist) and recomputes all caches. *)
 
 val teil : t -> float
-val cost : t -> float
 
 val core_of : t -> Twmc_geometry.Rect.t
 (** The core rectangle recorded in the snapshot (useful to build a fresh
@@ -70,11 +70,6 @@ type durable = {
       (** Serialized {!Twmc_sa.Rng} state at the boundary, captured before
           any post-boundary draw — resuming replays the identical stream. *)
   snapshot : t;
-  dynamic_expander : bool;
-      (** The snapshot was taken under a [Dynamic] expander (stage 1); it is
-          stored as a marker and must be reconstructed deterministically
-          from (params, netlist, stage-1 core) before {!restore} — see
-          {!with_expander}. *)
   s1 : s1_summary;
 }
 
@@ -85,13 +80,7 @@ val durable :
   s1:s1_summary ->
   Twmc_place.Placement.t ->
   durable
-(** Capture the placement together with the flow position.  A [Dynamic]
-    expander is reduced to the {!field-dynamic_expander} marker (its lookup
-    structures are derivable, not data). *)
-
-val with_expander : durable -> Twmc_place.Placement.expander -> durable
-(** Replace the snapshot's expander — used at resume to graft the
-    reconstructed [Dynamic] estimator back in before {!restore}. *)
+(** Capture the placement together with the flow position. *)
 
 val save :
   path:string ->
@@ -110,5 +99,11 @@ val load :
   (durable, string) result
 (** Read and validate a checkpoint.  [Error] carries a human-readable
     reason: unreadable file, unrecognized version, malformed header,
-    truncated or corrupt payload (length/MD5), netlist mismatch, or
-    parameter mismatch.  Never raises on corrupt input. *)
+    truncated or corrupt payload (length/MD5), netlist mismatch, parameter
+    mismatch, or a stage tag past the last refinement of [params].  Never
+    raises on corrupt input.
+
+    A snapshot taken under stage 1's [Dynamic] expander is stored without
+    the estimator's lookup structures (they are derivable, not data); [load]
+    rebuilds that estimator from [params.beta], the stored stage-1 core and
+    [netlist], so the returned snapshot restores exactly what was saved. *)

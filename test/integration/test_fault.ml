@@ -202,11 +202,25 @@ let test_checkpoint_roundtrip () =
       checkb "stage" true (d'.Checkpoint.stage = Checkpoint.Stage2_iteration 2);
       check "seed" 5 d'.Checkpoint.seed_used;
       checks "rng cursor" d.Checkpoint.rng_cursor d'.Checkpoint.rng_cursor;
-      checkb "dynamic flag survives" true
-        (d'.Checkpoint.dynamic_expander = d.Checkpoint.dynamic_expander);
       Alcotest.(check (float 1e-9))
         "teil" (Checkpoint.teil d.Checkpoint.snapshot)
-        (Checkpoint.teil d'.Checkpoint.snapshot));
+        (Checkpoint.teil d'.Checkpoint.snapshot);
+      (* The stage-1 estimator is not stored: [load] rebuilds it, so the
+         loaded snapshot restores a [Dynamic] expander and the saved TEIL. *)
+      let p =
+        Twmc_place.Placement.create ~params
+          ~core:(Checkpoint.core_of d'.Checkpoint.snapshot)
+          ~expander:Twmc_place.Placement.No_expansion ~rng:(Rng.create ~seed:5)
+          nl
+      in
+      Checkpoint.restore p d'.Checkpoint.snapshot;
+      checkb "dynamic expander rebuilt" true
+        (match Twmc_place.Placement.expander p with
+        | Twmc_place.Placement.Dynamic _ -> true
+        | _ -> false);
+      Alcotest.(check (float 1e-6))
+        "restored teil" (Checkpoint.teil d.Checkpoint.snapshot)
+        (Twmc_place.Placement.teil p));
   rm_rf dir
 
 let test_checkpoint_validation () =
@@ -232,6 +246,12 @@ let test_checkpoint_validation () =
     (String.sub original 0 (String.length original - 7));
   (* wrong version *)
   expect_error "version" ("twmc-checkpoint v99" ^ original);
+  (* a file of the previous format version is refused by its first line,
+     never unmarshaled into the current payload type *)
+  let nl_off = String.index original '\n' in
+  expect_error "v1 magic"
+    ("twmc-checkpoint v1"
+    ^ String.sub original nl_off (String.length original - nl_off));
   (* netlist mismatch *)
   Atomic_io.write_string path original;
   (match Checkpoint.load ~path ~netlist:(netlist ~seed:99 ()) ~params with
@@ -410,6 +430,32 @@ let test_resume_rejects_wrong_netlist () =
   checkb "typed diagnostic" true (has_code "G412" rr'.Flow.diagnostics);
   rm_rf dir
 
+(* Checkpoints that pass the integrity checks but cannot be continued must
+   be refused like any other invalid checkpoint, never crash the resume: a
+   stage tag past the last refinement of its parameters (a hand-edited or
+   foreign file), and a file of the previous format version. *)
+let test_resume_refuses_unusable_checkpoint () =
+  let nl = netlist () in
+  let dir = fresh_dir "unusable" in
+  let path = Filename.concat dir "a.ckpt" in
+  let expect_refused tag params =
+    let rr = Flow.resume ~params ~path nl in
+    checkb (tag ^ ": invalid input") true (rr.Flow.status = Flow.Invalid_input);
+    checkb (tag ^ ": typed diagnostic") true (has_code "G412" rr.Flow.diagnostics)
+  in
+  let one_refinement = { params with Params.refinement_iterations = 1 } in
+  Checkpoint.save ~path ~netlist:nl ~params:one_refinement
+    { (durable_fixture nl) with Checkpoint.stage = Checkpoint.Stage2_iteration 5 };
+  expect_refused "past the last refinement" one_refinement;
+  Checkpoint.save ~path ~netlist:nl ~params (durable_fixture nl);
+  let content = Atomic_io.read_string path in
+  let nl_off = String.index content '\n' in
+  Atomic_io.write_string path
+    ("twmc-checkpoint v1"
+    ^ String.sub content nl_off (String.length content - nl_off));
+  expect_refused "v1 file" params;
+  rm_rf dir
+
 let test_resume_missing_file () =
   let nl = netlist () in
   let rr = Flow.resume ~params ~path:"/nonexistent/nothing.ckpt" nl in
@@ -465,7 +511,9 @@ let () =
           Alcotest.test_case "wrong netlist rejected" `Quick
             test_resume_rejects_wrong_netlist;
           Alcotest.test_case "missing file rejected" `Quick
-            test_resume_missing_file ] );
+            test_resume_missing_file;
+          Alcotest.test_case "unusable checkpoint rejected" `Quick
+            test_resume_refuses_unusable_checkpoint ] );
       ( "chaos",
         [ Alcotest.test_case "25-plan campaign has no survivors" `Slow
             test_chaos_mini ] ) ]

@@ -16,9 +16,20 @@ let netlist () =
 
 let params = { Twmc_place.Params.default with Twmc_place.Params.a_c = 60; m_routes = 6 }
 
+let flow ~params ~seed nl =
+  match (Twmc.Flow.run_resilient ~params ~seed nl).Twmc.Flow.flow with
+  | Some r -> r
+  | None -> Alcotest.fail "flow produced no result"
+
 let test_full_flow () =
   let nl = netlist () in
-  let r = Twmc.Flow.run ~params ~seed:2 nl in
+  let r = flow ~params ~seed:2 nl in
+  (* The digest the unguarded [Flow.run] gave on this netlist and seed
+     before the guarded driver became the only flow path: every caller
+     that moved over gets the same placement and routing. *)
+  Alcotest.(check string)
+    "same result as the unguarded flow" "2d5bed4f2744a60aefeda35b447f972e"
+    (Twmc_qa.Fingerprint.flow r);
   checkb "teil positive" true (r.Twmc.Flow.teil_final > 0.0);
   checkb "area positive" true (r.Twmc.Flow.area_final > 0);
   check "three refinements" 3
@@ -55,15 +66,15 @@ let test_full_flow () =
 let test_flow_determinism () =
   let nl = netlist () in
   let small = { params with Twmc_place.Params.a_c = 15 } in
-  let r1 = Twmc.Flow.run ~params:small ~seed:3 nl in
-  let r2 = Twmc.Flow.run ~params:small ~seed:3 nl in
+  let r1 = flow ~params:small ~seed:3 nl in
+  let r2 = flow ~params:small ~seed:3 nl in
   Alcotest.(check (float 1e-9)) "same final TEIL" r1.Twmc.Flow.teil_final
     r2.Twmc.Flow.teil_final;
   check "same final area" r1.Twmc.Flow.area_final r2.Twmc.Flow.area_final
 
 let test_required_expansions () =
   let nl = netlist () in
-  let r = Twmc.Flow.run ~params ~seed:4 nl in
+  let r = flow ~params ~seed:4 nl in
   match r.Twmc.Flow.stage2.Twmc.Stage2.final_route with
   | None -> Alcotest.fail "route missing"
   | Some route ->
@@ -82,7 +93,7 @@ let test_stage2_converges () =
      are close to 1 (the dynamic estimator already allocated roughly the
      right space).  Allow a generous band — quick-profile runs are noisy. *)
   let nl = netlist () in
-  let r = Twmc.Flow.run ~params ~seed:5 nl in
+  let r = flow ~params ~seed:5 nl in
   let teil_ratio = r.Twmc.Flow.teil_final /. r.Twmc.Flow.teil_stage1 in
   let area_ratio =
     float_of_int r.Twmc.Flow.area_final /. float_of_int r.Twmc.Flow.area_stage1

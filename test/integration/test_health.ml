@@ -402,8 +402,8 @@ let health_of_run () =
   let sink = Sink.memory () in
   let obs = Obs.create ~sink ~metrics:(Metrics.create ()) () in
   ignore
-    (Twmc.Flow.run ~params:quick_params ~seed:3 ~jobs:1 ~replicas:2 ~obs
-       (Lazy.force small_nl));
+    (Twmc.Flow.run_resilient ~params:quick_params ~seed:3 ~jobs:1 ~replicas:2
+       ~obs (Lazy.force small_nl));
   let events =
     List.map
       (fun e ->

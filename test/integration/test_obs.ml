@@ -242,8 +242,13 @@ let enabled_obs () =
   Obs.create ~sink:(Sink.memory ()) ~metrics:(Metrics.create ()) ()
 
 let flow ~jobs ~obs () =
-  Twmc.Flow.run ~params:quick_params ~seed:3 ~jobs ~replicas:2 ~obs
-    (Lazy.force small_nl)
+  match
+    (Twmc.Flow.run_resilient ~params:quick_params ~seed:3 ~jobs ~replicas:2
+       ~obs (Lazy.force small_nl))
+      .Twmc.Flow.flow
+  with
+  | Some r -> r
+  | None -> Alcotest.fail "flow produced no result"
 
 let test_bit_identity () =
   let baseline = flow_bytes (flow ~jobs:1 ~obs:Obs.disabled ()) in

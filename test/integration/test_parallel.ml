@@ -257,13 +257,20 @@ let flow_bytes (r : Twmc.Flow.result) =
   | None -> "|noroute"
   | Some route -> "|" ^ route_bytes route
 
+let flow ~params ~jobs nl =
+  match
+    (Twmc.Flow.run_resilient ~params ~seed:3 ~jobs ~replicas:2 nl).Twmc.Flow.flow
+  with
+  | Some r -> r
+  | None -> Alcotest.fail "flow produced no result"
+
 let test_flow_jobs_invariant () =
   let nl = Lazy.force small_nl in
   let params =
     { quick_params with Twmc_place.Params.refinement_iterations = 1 }
   in
-  let seq = Twmc.Flow.run ~params ~seed:3 ~jobs:1 ~replicas:2 nl in
-  let par = Twmc.Flow.run ~params ~seed:3 ~jobs:test_jobs ~replicas:2 nl in
+  let seq = flow ~params ~jobs:1 nl in
+  let par = flow ~params ~jobs:test_jobs nl in
   Alcotest.(check string)
     "byte-identical flow result" (flow_bytes seq) (flow_bytes par)
 
@@ -285,8 +292,8 @@ let test_constrained_flow_jobs_invariant () =
   let params =
     { quick_params with Twmc_place.Params.refinement_iterations = 1 }
   in
-  let seq = Twmc.Flow.run ~params ~seed:3 ~jobs:1 ~replicas:2 nl in
-  let par = Twmc.Flow.run ~params ~seed:3 ~jobs:test_jobs ~replicas:2 nl in
+  let seq = flow ~params ~jobs:1 nl in
+  let par = flow ~params ~jobs:test_jobs nl in
   Alcotest.(check string)
     "byte-identical constrained flow result" (flow_bytes seq) (flow_bytes par);
   Alcotest.(check string)

@@ -45,7 +45,9 @@ let flow_result =
      let params =
        { Twmc_place.Params.default with Twmc_place.Params.a_c = 20; m_routes = 4 }
      in
-     Twmc.Flow.run ~params ~seed:6 nl)
+     match (Twmc.Flow.run_resilient ~params ~seed:6 nl).Twmc.Flow.flow with
+     | Some r -> r
+     | None -> Alcotest.fail "flow produced no result")
 
 let test_render_placement () =
   let r = Lazy.force flow_result in
