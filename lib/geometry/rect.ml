@@ -28,7 +28,14 @@ let inter a b =
   and y1 = min a.y1 b.y1 in
   if x0 >= x1 || y0 >= y1 then empty else { x0; y0; x1; y1 }
 
-let inter_area a b = area (inter a b)
+(* [area (inter a b)] without building the intersection: this runs per
+   tile pair on the overlap hot path. *)
+let inter_area a b =
+  let x0 = if a.x0 >= b.x0 then a.x0 else b.x0
+  and y0 = if a.y0 >= b.y0 then a.y0 else b.y0
+  and x1 = if a.x1 <= b.x1 then a.x1 else b.x1
+  and y1 = if a.y1 <= b.y1 then a.y1 else b.y1 in
+  if x0 >= x1 || y0 >= y1 then 0 else (x1 - x0) * (y1 - y0)
 let overlaps a b = inter_area a b > 0
 
 let touches a b =

@@ -7,9 +7,10 @@
    - keys are small non-negative ints, so per-key state (current
      rectangle, presence, query stamp) lives in flat arrays that grow
      geometrically — no hashing, no polymorphic equality anywhere;
-   - [query]/[iter_query] deduplicate multi-bin entries with a
+   - [query]/[query_into] deduplicate multi-bin entries with a
      monotonically increasing stamp per call against a per-key stamp
-     array: no per-call allocation at all on the [iter_query] path;
+     array, and [query_into] fills a caller's buffer: no closures and
+     no result list on the move-evaluation path;
    - [update] diffs the old and new bin ranges of a moved rectangle and
      touches only the bins in the symmetric difference — a short move
      that stays within its bins is O(1). *)
@@ -152,25 +153,35 @@ let next_stamp t =
   t.stamp <- t.stamp + 1;
   t.stamp
 
-let iter_query t rect f =
+(* Accumulator-passing walk of one bin: no closure per bin. *)
+let rec collect_bin t rect stamp buf n = function
+  | [] -> n
+  | key :: rest ->
+      if t.seen.(key) <> stamp then begin
+        t.seen.(key) <- stamp;
+        if Rect.touches t.rects.(key) rect then begin
+          buf.(n) <- key;
+          collect_bin t rect stamp buf (n + 1) rest
+        end
+        else collect_bin t rect stamp buf n rest
+      end
+      else collect_bin t rect stamp buf n rest
+
+let query_into t rect buf =
   let stamp = next_stamp t in
   let ix0, ix1, iy0, iy1 = bin_range t rect in
+  let n = ref 0 in
   for iy = iy0 to iy1 do
     for ix = ix0 to ix1 do
-      List.iter
-        (fun key ->
-          if t.seen.(key) <> stamp then begin
-            t.seen.(key) <- stamp;
-            if Rect.touches t.rects.(key) rect then f key
-          end)
-        t.bins.((iy * t.nx) + ix)
+      n := collect_bin t rect stamp buf !n t.bins.((iy * t.nx) + ix)
     done
-  done
+  done;
+  !n
 
 let query t rect =
-  let acc = ref [] in
-  iter_query t rect (fun key -> acc := key :: !acc);
-  !acc
+  let buf = Array.make (Array.length t.present) 0 in
+  let n = query_into t rect buf in
+  Array.to_list (Array.sub buf 0 n)
 
 (* The owner bin of a touching pair is the smallest-index bin common to both
    rectangles' bin ranges; reporting the pair only from its owner makes

@@ -4,8 +4,8 @@
     bounding boxes intersect; the index keeps move evaluation O(local
     density) instead of O(cells).  Keys are small non-negative integers
     (cell indices): per-key state lives in flat arrays, queries
-    deduplicate with a per-key stamp array (no allocation on the
-    [iter_query] path), and moving an entry only touches the bins in the
+    deduplicate with a per-key stamp array (no closures on the
+    [query_into] path), and moving an entry only touches the bins in the
     symmetric difference of its old and new bin ranges. *)
 
 type t
@@ -37,9 +37,11 @@ val query : t -> Rect.t -> int list
 (** All keys whose rectangle intersects (touching counts) the query
     rectangle; deduplicated, order unspecified. *)
 
-val iter_query : t -> Rect.t -> (int -> unit) -> unit
-(** [query] without building the result list: calls [f] once per touching
-    key.  Allocation-free; this is the move-evaluation hot path. *)
+val query_into : t -> Rect.t -> int array -> int
+(** [query] without building the result list: writes each touching key
+    once into [buf] from index 0 and returns their count.  [buf] must have
+    room for every stored key.  No closures; this is the move-evaluation
+    hot path. *)
 
 val iter_pairs : t -> (int -> Rect.t -> int -> Rect.t -> unit) -> unit
 (** Visits every unordered pair of distinct stored objects whose rectangles

@@ -69,6 +69,11 @@ type ctx = {
   constrained : bool;
   fixed : bool array;
   region : Rect.t option array;
+  (* The per-cell proposal buffer a pin move fills, and the one-move list
+     naming that buffer, built once.  Reusing the buffer is safe because
+     [Placement.set_cell_sites] copies it. *)
+  pin_sites : int array array;
+  pin_moves : Placement.move list array;
 }
 
 let make_ctx ?(allow_orient = true) ?(allow_variant = true)
@@ -92,6 +97,9 @@ let make_ctx ?(allow_orient = true) ?(allow_variant = true)
   let constrained =
     Array.exists Fun.id fixed || Array.exists Option.is_some region
   in
+  let pin_sites =
+    Array.map (fun c -> Array.make (Cell.n_pins c) (-1)) nl.Netlist.cells
+  in
   { p = placement;
     limiter;
     stats;
@@ -100,7 +108,13 @@ let make_ctx ?(allow_orient = true) ?(allow_variant = true)
     prob_displacement = (if interchanges then r /. (r +. 1.0) else 1.0);
     constrained;
     fixed;
-    region }
+    region;
+    pin_sites;
+    pin_moves =
+      Array.mapi
+        (fun ci sites -> [ Placement.Sites_move { ci; sites } ])
+        pin_sites
+  }
 
 (* A proposed move that a hard constraint forbids: any geometric change of
    a fixed cell, or a target center outside a region lock. *)
@@ -176,11 +190,17 @@ let attempt_displacement_inverted ctx rng ~temp ~cell ~x ~y =
   trial ctx rng ~cls:cls_displace_inverted ~temp
     ~moves:[ cell_move ~x ~y ~orient:o' cell ]
 
+(* For each orientation (by [Orient.to_int]), the other seven in
+   [Orient.all] order. *)
+let other_orients =
+  Array.init 8 (fun i ->
+      let o = Orient.of_int i in
+      Array.of_list (List.filter (fun o' -> not (Orient.equal o o')) Orient.all))
+
 (* A_0(i): random in-place orientation change. *)
 let attempt_orient ctx rng ~temp ~cell =
   let o = Placement.cell_orient ctx.p cell in
-  let candidates = List.filter (fun o' -> not (Orient.equal o o')) Orient.all in
-  let o' = Rng.pick_list rng candidates in
+  let o' = Rng.pick rng other_orients.(Orient.to_int o) in
   trial ctx rng ~cls:cls_orient ~temp ~moves:[ cell_move ~orient:o' cell ]
 
 (* A_2(i, j): pairwise interchange of cell centers. *)
@@ -198,45 +218,38 @@ let attempt_interchange ctx rng ~temp ~i ~j ~invert =
     ~cls:(if invert then cls_interchange_inverted else cls_interchange)
     ~temp ~moves
 
-(* A_p(i): reassign one pin group or lone pin to fresh sites. *)
+(* A_p(i): reassign one pin group or lone pin to fresh sites.  Reads the
+   cell's tables and fills its proposal buffer: no allocation.  [Rng.pick]
+   on a table array draws what [Rng.pick_list] drew on the list it was
+   built from, so the RNG stream is the list-based generator's. *)
 let attempt_pin_move ctx rng ~temp ~cell =
-  let nl = Placement.netlist ctx.p in
-  let c = nl.Netlist.cells.(cell) in
-  let groups = Sites.group_members c in
-  let lone = Sites.lone_uncommitted c in
-  let n_groups = List.length groups in
-  let n_choices = n_groups + List.length lone in
+  let tbl = Placement.site_table ctx.p cell in
+  let n_groups = Array.length tbl.Sites.groups in
+  let n_choices = n_groups + Array.length tbl.Sites.lone in
   if n_choices = 0 then false
   else begin
     let variant = Placement.cell_variant ctx.p cell in
     let choice = Rng.int_incl rng 0 (n_choices - 1) in
+    let sites = ctx.pin_sites.(cell) in
+    for pin = 0 to Array.length sites - 1 do
+      sites.(pin) <- Placement.site_of_pin ctx.p ~cell ~pin
+    done;
     (* The site picks draw from the RNG while building the proposal —
-       before the Metropolis draw, exactly where the old mutate closure
-       drew them. *)
-    let sites =
-      Array.init (Cell.n_pins c) (fun p ->
-          Placement.site_of_pin ctx.p ~cell ~pin:p)
-    in
+       before the Metropolis draw. *)
+    let allowed = tbl.Sites.allowed.(variant) in
     (if choice < n_groups then begin
-       let _, members = List.nth groups choice in
-       match members with
-       | [] -> ()
-       | first :: _ -> (
-           match Cell.allowed_sites c ~variant first with
-           | [] -> ()
-           | allowed ->
-               let anchor = Rng.pick_list rng allowed in
-               Sites.assign_group c ~variant ~members ~anchor_site:anchor
-                 ~sites)
+       let members = tbl.Sites.groups.(choice) in
+       let anchors = allowed.(members.(0)) in
+       if Array.length anchors > 0 then
+         Sites.assign_group tbl ~variant ~members
+           ~anchor_site:(Rng.pick rng anchors) ~sites
      end
      else
-       let pin = List.nth lone (choice - n_groups) in
-       match Cell.allowed_sites c ~variant pin with
-       | [] -> ()
-       | allowed -> sites.(pin) <- Rng.pick_list rng allowed);
+       let pin = tbl.Sites.lone.(choice - n_groups) in
+       if Array.length allowed.(pin) > 0 then
+         sites.(pin) <- Rng.pick rng allowed.(pin));
     let accepted =
-      trial ctx rng ~cls:cls_pin ~temp
-        ~moves:[ Placement.Sites_move { ci = cell; sites } ]
+      trial ctx rng ~cls:cls_pin ~temp ~moves:ctx.pin_moves.(cell)
     in
     if accepted then ctx.stats.pin_moves <- ctx.stats.pin_moves + 1;
     accepted
@@ -269,12 +282,6 @@ let is_custom ctx ci =
   | Cell.Custom -> true
   | Cell.Macro -> false
 
-let n_uncommitted ctx ci =
-  let nl = Placement.netlist ctx.p in
-  Array.fold_left
-    (fun acc (p : Pin.t) -> if Pin.is_committed p then acc else acc + 1)
-    0 nl.Netlist.cells.(ci).Cell.pins
-
 let generate ctx rng ~temp =
   ctx.stats.attempts <- ctx.stats.attempts + 1;
   let prm = Placement.params ctx.p in
@@ -294,7 +301,7 @@ let generate ctx rng ~temp =
     else if ctx.allow_orient && attempt_orient ctx rng ~temp ~cell:i then
       ctx.stats.orient_changes <- ctx.stats.orient_changes + 1;
     if is_custom ctx i then begin
-      for _ = 1 to n_uncommitted ctx i do
+      for _ = 1 to (Placement.site_table ctx.p i).Sites.n_uncommitted do
         ignore (attempt_pin_move ctx rng ~temp ~cell:i)
       done;
       if ctx.allow_variant then ignore (attempt_variant ctx rng ~temp ~cell:i)

@@ -11,14 +11,49 @@ type cell_state = {
   mutable y : int;
   mutable orient : Orient.t;
   mutable variant : int;
-  mutable sites : int array;
+  (* The arrays below are owned by the cell and updated in place: a pin
+     move writes ints into long-lived arrays instead of installing fresh
+     tuples the minor GC would have to promote. *)
+  sites : int array;
   mutable abs_tiles : Rect.t list;
   mutable exp_tiles : Rect.t list;
-  mutable pin_pos : (int * int) array;
+  pin_x : int array;
+  pin_y : int array;
   mutable bbox : Rect.t;
-  mutable occ : int array;
-  (* occupancy of the current variant's sites *)
+  occ : int array;
+  (* occupancy of the current variant's sites: its first [n_sites] entries,
+     sized for the cell's largest variant *)
 }
+
+(* Simulated state of one cell touched by the moves [delta_cost] is
+   evaluating: a preallocated slot, overwritten in place, whose arrays are
+   sized for the netlist's largest cell. *)
+type sim_cell = {
+  mutable m_ci : int;
+  mutable m_x : int;
+  mutable m_y : int;
+  mutable m_orient : Orient.t;
+  mutable m_variant : int;
+  m_sites : int array;
+  m_px : int array;
+  m_py : int array;
+  mutable m_abs : Rect.t list;
+  mutable m_exp : Rect.t list;
+  mutable m_bbox : Rect.t;
+  m_c3 : float array;  (* one entry: an unboxed store *)
+}
+
+(* The cost accumulators.  An all-float record is stored flat, so updating
+   a term writes an unboxed float instead of allocating one. *)
+type terms = {
+  mutable c1 : float;
+  mutable c2 : float;
+  mutable c3 : float;
+  mutable c4 : float;
+  mutable teil : float;
+}
+
+let zero_terms () = { c1 = 0.0; c2 = 0.0; c3 = 0.0; c4 = 0.0; teil = 0.0 }
 
 type t = {
   nl : Netlist.t;
@@ -52,25 +87,37 @@ type t = {
   cons : Constr.t array;
   cpen : float array;
   cons_of_cell : int array array;
-  mutable c1v : float;
-  mutable c2v : float;
-  mutable c3v : float;
-  mutable c4v : float;
-  mutable teilv : float;
+  (* Per-cell pin-site tables (allowed sites, groups, edge ranges). *)
+  tables : Sites.table array;
+  cost : terms;
   mutable p2v : float;
   (* Spatial index of expanded-tile bboxes, keyed by cell index; kept in
      sync with [cell_state.bbox] and rebuilt by [recompute_all]. *)
   mutable idx : Spatial.t;
+  (* Scratch: index query results, one slot per cell. *)
+  cand : int array;
   (* Scratch: pre-move pin positions of the cell being mutated. *)
-  old_pp : (int * int) array;
-  (* Scratch for [delta_cost]: per-net simulated C1, valid when the stamp
-     matches the current simulation pass. *)
+  old_px : int array;
+  old_py : int array;
+  (* Scratch for [delta_cost]: the simulated C1..C4 accumulators; per-net
+     simulated C1, valid when the stamp matches the current simulation
+     pass; simulated occupancy. *)
+  sim : terms;
   sim_net_c1 : float array;
   sim_net_stamp : int array;
+  sim_occ : int array;
   (* Same device for simulated constraint penalties. *)
   sim_cpen : float array;
   sim_cpen_stamp : int array;
   mutable sim_stamp : int;
+  (* Pending cells of the current pass: cell [ci] is pending when
+     [pend_stamp.(ci) = sim_stamp], and then lives in
+     [pool.(pend_slot.(ci))]; slots [0 .. n_pending-1] are in use.  The
+     pool starts with two slots (an interchange) and grows on demand. *)
+  pend_stamp : int array;
+  pend_slot : int array;
+  mutable pool : sim_cell array;
+  mutable n_pending : int;
   (* Lazy caches of orientation-transformed geometry, keyed
      [cell][variant][orient]. *)
   tiles_cache : Rect.t list option array array array;
@@ -157,31 +204,54 @@ let make_index t =
   Spatial.create ~world:t.core ~cell_size:(max 1 ((extent + g - 1) / g))
 
 (* ------------------------------------------------------------------ *)
-(* Per-cell cache refresh                                              *)
+(* Per-cell geometry                                                   *)
+
+(* Recursion rather than [List.map] with a closure; the tile lists are a
+   handful of rectangles. *)
+let rec translate_tiles tiles ~dx ~dy =
+  match tiles with
+  | [] -> []
+  | r :: rest ->
+      let r = Rect.translate r ~dx ~dy in
+      r :: translate_tiles rest ~dx ~dy
+
+let rec expand_tiles t ci vi = function
+  | [] -> []
+  | r :: rest ->
+      let r = expand_tile t ci vi r in
+      r :: expand_tiles t ci vi rest
+
+let bbox_of = function
+  | [] -> Rect.empty
+  | r :: rest -> List.fold_left Rect.hull r rest
+
+(* Absolute positions of every pin of cell [ci] at center [(x, y)] in the
+   given variant and orientation, written into [px]/[py].  A sites-only
+   move rewrites the fixed pins with the values they already hold. *)
+let fill_pin_positions t ci ~x ~y ~variant ~orient ~sites px py =
+  let pins = t.nl.Netlist.cells.(ci).Cell.pins in
+  let fixed = cached_fixed t ci orient in
+  let site_pos = cached_sites t ci variant orient in
+  for p = 0 to Array.length pins - 1 do
+    let lx, ly =
+      match pins.(p).Pin.loc with
+      | Pin.Fixed _ -> fixed.(p)
+      | Pin.Uncommitted _ -> site_pos.(sites.(p))
+    in
+    px.(p) <- x + lx;
+    py.(p) <- y + ly
+  done
 
 let refresh_cell t ci =
   let cs = t.cells.(ci) in
-  let c = t.nl.Netlist.cells.(ci) in
-  let tiles0 = cached_tiles t ci cs.variant cs.orient in
-  cs.abs_tiles <- List.map (fun r -> Rect.translate r ~dx:cs.x ~dy:cs.y) tiles0;
-  cs.exp_tiles <- List.map (expand_tile t ci cs.variant) cs.abs_tiles;
-  cs.bbox <-
-    (match cs.exp_tiles with
-    | [] -> Rect.empty
-    | r :: rest -> List.fold_left Rect.hull r rest);
+  cs.abs_tiles <-
+    translate_tiles (cached_tiles t ci cs.variant cs.orient) ~dx:cs.x ~dy:cs.y;
+  cs.exp_tiles <- expand_tiles t ci cs.variant cs.abs_tiles;
+  cs.bbox <- bbox_of cs.exp_tiles;
   if Spatial.mem t.idx ci then Spatial.update t.idx ci cs.bbox
   else Spatial.insert t.idx ci cs.bbox;
-  let fixed = cached_fixed t ci cs.orient in
-  let site_pos = cached_sites t ci cs.variant cs.orient in
-  Array.iteri
-    (fun p (pin : Pin.t) ->
-      let lx, ly =
-        match pin.Pin.loc with
-        | Pin.Fixed _ -> fixed.(p)
-        | Pin.Uncommitted _ -> site_pos.(cs.sites.(p))
-      in
-      cs.pin_pos.(p) <- (cs.x + lx, cs.y + ly))
-    c.Cell.pins
+  fill_pin_positions t ci ~x:cs.x ~y:cs.y ~variant:cs.variant
+    ~orient:cs.orient ~sites:cs.sites cs.pin_x cs.pin_y
 
 (* ------------------------------------------------------------------ *)
 (* Net spans                                                           *)
@@ -190,22 +260,23 @@ let refresh_cell t ci =
    over the pin refs.  This is the fallback when an incremental update
    cannot prove the surviving support of a boundary. *)
 let rescan_net_span t n =
-  let net = t.nl.Netlist.nets.(n) in
+  let pins = t.nl.Netlist.nets.(n).Net.pins in
   let minx = ref max_int and maxx = ref min_int in
   let miny = ref max_int and maxy = ref min_int in
   let cminx = ref 0 and cmaxx = ref 0 and cminy = ref 0 and cmaxy = ref 0 in
-  Array.iter
-    (fun (r : Net.pin_ref) ->
-      let x, y = t.cells.(r.Net.cell).pin_pos.(r.Net.pin) in
-      if x < !minx then begin minx := x; cminx := 1 end
-      else if x = !minx then incr cminx;
-      if x > !maxx then begin maxx := x; cmaxx := 1 end
-      else if x = !maxx then incr cmaxx;
-      if y < !miny then begin miny := y; cminy := 1 end
-      else if y = !miny then incr cminy;
-      if y > !maxy then begin maxy := y; cmaxy := 1 end
-      else if y = !maxy then incr cmaxy)
-    net.Net.pins;
+  for i = 0 to Array.length pins - 1 do
+    let r = pins.(i) in
+    let cs = t.cells.(r.Net.cell) in
+    let x = cs.pin_x.(r.Net.pin) and y = cs.pin_y.(r.Net.pin) in
+    if x < !minx then begin minx := x; cminx := 1 end
+    else if x = !minx then incr cminx;
+    if x > !maxx then begin maxx := x; cmaxx := 1 end
+    else if x = !maxx then incr cmaxx;
+    if y < !miny then begin miny := y; cminy := 1 end
+    else if y = !miny then incr cminy;
+    if y > !maxy then begin maxy := y; cmaxy := 1 end
+    else if y = !maxy then incr cmaxy
+  done;
   t.net_minx.(n) <- !minx;
   t.net_maxx.(n) <- !maxx;
   t.net_miny.(n) <- !miny;
@@ -215,31 +286,28 @@ let rescan_net_span t n =
   t.net_cminy.(n) <- !cminy;
   t.net_cmaxy.(n) <- !cmaxy
 
-(* C1/TEIL contribution of a net from its cached extremes — the exact same
-   float expression [net_contrib] used on the freshly scanned extremes, so
-   the incremental path is bit-identical. *)
-let net_cost_of_span t n =
-  let net = t.nl.Netlist.nets.(n) in
-  let dx = float_of_int (t.net_maxx.(n) - t.net_minx.(n))
-  and dy = float_of_int (t.net_maxy.(n) - t.net_miny.(n)) in
-  ((dx *. net.Net.hweight) +. (dy *. net.Net.vweight), dx +. dy)
+(* The C1 and TEIL contributions of a net with spans [dx], [dy]: the one
+   float expression every path (apply, delta, recompute) evaluates, so
+   they agree bit for bit.  Inlined so the floats stay unboxed. *)
+let[@inline] net_c1_of (net : Net.t) ~dx ~dy =
+  (dx *. net.Net.hweight) +. (dy *. net.Net.vweight)
+
+let[@inline] net_len_of ~dx ~dy = dx +. dy
 
 (* Incremental update of one min-extreme axis after the pins [pins] of one
-   cell moved from [old_pp] to [new_pp].  Returns [false] when the old
-   extreme lost all its support and no moved pin re-establishes it — the
-   caller must rescan the net. *)
-let update_min_axis ext cnt n pins old_pp new_pp ~use_x =
+   cell moved from [oldv] to [newv] (both x or both y coordinates).
+   Returns [false] when the old extreme lost all its support and no moved
+   pin re-establishes it — the caller must rescan the net. *)
+let update_min_axis ext cnt n pins oldv newv =
   let e = ext.(n) in
   let removed = ref 0 and bestnew = ref max_int and bestcnt = ref 0 in
-  Array.iter
-    (fun p ->
-      let ox, oy = old_pp.(p) in
-      if (if use_x then ox else oy) = e then incr removed;
-      let nx, ny = new_pp.(p) in
-      let v = if use_x then nx else ny in
-      if v < !bestnew then begin bestnew := v; bestcnt := 1 end
-      else if v = !bestnew then incr bestcnt)
-    pins;
+  for i = 0 to Array.length pins - 1 do
+    let p = pins.(i) in
+    if oldv.(p) = e then incr removed;
+    let v = newv.(p) in
+    if v < !bestnew then begin bestnew := v; bestcnt := 1 end
+    else if v = !bestnew then incr bestcnt
+  done;
   let rem = cnt.(n) - !removed in
   if !bestnew < e then begin
     ext.(n) <- !bestnew;
@@ -250,18 +318,16 @@ let update_min_axis ext cnt n pins old_pp new_pp ~use_x =
   else if rem > 0 then begin cnt.(n) <- rem; true end
   else false
 
-let update_max_axis ext cnt n pins old_pp new_pp ~use_x =
+let update_max_axis ext cnt n pins oldv newv =
   let e = ext.(n) in
   let removed = ref 0 and bestnew = ref min_int and bestcnt = ref 0 in
-  Array.iter
-    (fun p ->
-      let ox, oy = old_pp.(p) in
-      if (if use_x then ox else oy) = e then incr removed;
-      let nx, ny = new_pp.(p) in
-      let v = if use_x then nx else ny in
-      if v > !bestnew then begin bestnew := v; bestcnt := 1 end
-      else if v = !bestnew then incr bestcnt)
-    pins;
+  for i = 0 to Array.length pins - 1 do
+    let p = pins.(i) in
+    if oldv.(p) = e then incr removed;
+    let v = newv.(p) in
+    if v > !bestnew then begin bestnew := v; bestcnt := 1 end
+    else if v = !bestnew then incr bestcnt
+  done;
   let rem = cnt.(n) - !removed in
   if !bestnew > e then begin
     ext.(n) <- !bestnew;
@@ -273,94 +339,105 @@ let update_max_axis ext cnt n pins old_pp new_pp ~use_x =
   else false
 
 (* Update the cached span of net [n] (the [k]-th net of cell [ci]) after
-   [ci]'s pins moved from [t.old_pp] to their current positions. *)
+   [ci]'s pins moved from [t.old_px]/[t.old_py] to their current
+   positions. *)
 let update_net_span t ci k n =
   let pins = t.cell_net_pins.(ci).(k) in
-  let np = t.cells.(ci).pin_pos and op = t.old_pp in
+  let cs = t.cells.(ci) in
   let ok =
-    update_min_axis t.net_minx t.net_cminx n pins op np ~use_x:true
-    && update_max_axis t.net_maxx t.net_cmaxx n pins op np ~use_x:true
-    && update_min_axis t.net_miny t.net_cminy n pins op np ~use_x:false
-    && update_max_axis t.net_maxy t.net_cmaxy n pins op np ~use_x:false
+    update_min_axis t.net_minx t.net_cminx n pins t.old_px cs.pin_x
+    && update_max_axis t.net_maxx t.net_cmaxx n pins t.old_px cs.pin_x
+    && update_min_axis t.net_miny t.net_cminy n pins t.old_py cs.pin_y
+    && update_max_axis t.net_maxy t.net_cmaxy n pins t.old_py cs.pin_y
   in
   if not ok then rescan_net_span t n
 
 (* ------------------------------------------------------------------ *)
 (* Cost terms                                                          *)
 
-let tiles_overlap tiles_a tiles_b total =
-  List.iter
-    (fun ra ->
-      List.iter (fun rb -> total := !total + Rect.inter_area ra rb) tiles_b)
-    tiles_a
+(* Overlap areas are exact integer sums, so any enumeration order of the
+   pairs gives the same total; accumulator-passing recursion keeps them
+   free of closures and boxed refs. *)
+let rec tile_overlap ra tiles_b acc =
+  match tiles_b with
+  | [] -> acc
+  | rb :: rest -> tile_overlap ra rest (acc + Rect.inter_area ra rb)
+
+let rec tiles_overlap tiles_a tiles_b acc =
+  match tiles_a with
+  | [] -> acc
+  | ra :: rest -> tiles_overlap rest tiles_b (tile_overlap ra tiles_b acc)
+
+(* Area of the tiles outside the core: overlap with the four core-boundary
+   dummy cells (footnote 16). *)
+let rec boundary_overlap core tiles acc =
+  match tiles with
+  | [] -> acc
+  | r :: rest ->
+      boundary_overlap core rest (acc + (Rect.area r - Rect.inter_area r core))
 
 (* Overlap of cell [ci]'s expanded tiles against every other cell and the
-   core-boundary dummies (footnote 16: area outside the core is overlap).
-   Only the index's candidate neighbors are visited; the total is an exact
-   integer sum, so any enumeration of a superset of the overlapping pairs
-   yields the identical float. *)
+   core-boundary dummies.  Only the index's candidate neighbors are
+   visited; the total is an exact integer sum, so any enumeration of a
+   superset of the overlapping pairs yields the identical float. *)
 let cell_overlap t ci =
   let cs = t.cells.(ci) in
-  let total = ref 0 in
-  List.iter
-    (fun r -> total := !total + (Rect.area r - Rect.inter_area r t.core))
-    cs.exp_tiles;
-  Spatial.iter_query t.idx cs.bbox (fun cj ->
-      if cj <> ci then begin
-        let other = t.cells.(cj) in
-        if Rect.overlaps cs.bbox other.bbox then
-          tiles_overlap cs.exp_tiles other.exp_tiles total
-      end);
+  let total = ref (boundary_overlap t.core cs.exp_tiles 0) in
+  let n = Spatial.query_into t.idx cs.bbox t.cand in
+  for i = 0 to n - 1 do
+    let cj = t.cand.(i) in
+    if cj <> ci then begin
+      let other = t.cells.(cj) in
+      if Rect.overlaps cs.bbox other.bbox then
+        total := tiles_overlap cs.exp_tiles other.exp_tiles !total
+    end
+  done;
   float_of_int !total
 
 (* The pre-index full scan, kept as the benchmark and differential-test
    reference. *)
 let cell_overlap_scan t ci =
   let cs = t.cells.(ci) in
-  let total = ref 0 in
-  List.iter
-    (fun r -> total := !total + (Rect.area r - Rect.inter_area r t.core))
-    cs.exp_tiles;
+  let total = ref (boundary_overlap t.core cs.exp_tiles 0) in
   Array.iteri
     (fun cj other ->
       if cj <> ci && Rect.overlaps cs.bbox other.bbox then
-        tiles_overlap cs.exp_tiles other.exp_tiles total)
+        total := tiles_overlap cs.exp_tiles other.exp_tiles !total)
     t.cells;
   float_of_int !total
 
-let occupancy_of t ci ~variant ~sites =
+(* Site occupancy of cell [ci] under [variant]/[sites], written into the
+   first [n_sites] entries of [occ]. *)
+let fill_occupancy t ci ~variant ~sites occ =
   let c = t.nl.Netlist.cells.(ci) in
-  let v = Cell.variant c variant in
-  let occ = Array.make (Array.length v.Cell.sites) 0 in
-  Array.iteri
-    (fun p (pin : Pin.t) ->
-      match pin.Pin.loc with
-      | Pin.Uncommitted _ -> occ.(sites.(p)) <- occ.(sites.(p)) + 1
-      | Pin.Fixed _ -> ())
-    c.Cell.pins;
-  occ
+  Array.fill occ 0 (Array.length (Cell.variant c variant).Cell.sites) 0;
+  let pins = c.Cell.pins in
+  for p = 0 to Array.length pins - 1 do
+    match pins.(p).Pin.loc with
+    | Pin.Uncommitted _ -> occ.(sites.(p)) <- occ.(sites.(p)) + 1
+    | Pin.Fixed _ -> ()
+  done
 
 let c3_of_occ t ci ~variant occ =
-  let c = t.nl.Netlist.cells.(ci) in
-  let v = Cell.variant c variant in
+  let sites = (Cell.variant t.nl.Netlist.cells.(ci) variant).Cell.sites in
   let kappa = t.prm.Params.kappa in
   let total = ref 0.0 in
-  Array.iteri
-    (fun s n ->
-      let cap = v.Cell.sites.(s).Pin_site.capacity in
-      if n > cap then
-        let e = float_of_int (n - cap + kappa) in
-        total := !total +. (e *. e))
-    occ;
+  for s = 0 to Array.length sites - 1 do
+    let cap = sites.(s).Pin_site.capacity in
+    if occ.(s) > cap then begin
+      let e = float_of_int (occ.(s) - cap + kappa) in
+      total := !total +. (e *. e)
+    end
+  done;
   !total
 
 let refresh_occupancy t ci =
   let cs = t.cells.(ci) in
-  cs.occ <- occupancy_of t ci ~variant:cs.variant ~sites:cs.sites;
+  fill_occupancy t ci ~variant:cs.variant ~sites:cs.sites cs.occ;
   let old = t.cell_c3.(ci) in
   let v = c3_of_occ t ci ~variant:cs.variant cs.occ in
   t.cell_c3.(ci) <- v;
-  t.c3v <- t.c3v -. old +. v
+  t.cost.c3 <- t.cost.c3 -. old +. v
 
 (* ------------------------------------------------------------------ *)
 (* Constraint penalties (C4)                                           *)
@@ -381,23 +458,25 @@ let eval_constraint t k =
 let recompute_all t =
   t.idx <- make_index t;
   Array.iteri (fun ci _ -> refresh_cell t ci) t.cells;
-  t.c1v <- 0.0;
-  t.teilv <- 0.0;
+  t.cost.c1 <- 0.0;
+  t.cost.teil <- 0.0;
   Array.iteri
-    (fun n _ ->
+    (fun n net ->
       rescan_net_span t n;
-      let c1, len = net_cost_of_span t n in
+      let dx = float_of_int (t.net_maxx.(n) - t.net_minx.(n))
+      and dy = float_of_int (t.net_maxy.(n) - t.net_miny.(n)) in
+      let c1 = net_c1_of net ~dx ~dy and len = net_len_of ~dx ~dy in
       t.net_c1.(n) <- c1;
       t.net_len.(n) <- len;
-      t.c1v <- t.c1v +. c1;
-      t.teilv <- t.teilv +. len)
+      t.cost.c1 <- t.cost.c1 +. c1;
+      t.cost.teil <- t.cost.teil +. len)
     t.nl.Netlist.nets;
-  t.c3v <- 0.0;
+  t.cost.c3 <- 0.0;
   Array.iteri
     (fun ci cs ->
-      cs.occ <- occupancy_of t ci ~variant:cs.variant ~sites:cs.sites;
+      fill_occupancy t ci ~variant:cs.variant ~sites:cs.sites cs.occ;
       t.cell_c3.(ci) <- c3_of_occ t ci ~variant:cs.variant cs.occ;
-      t.c3v <- t.c3v +. t.cell_c3.(ci))
+      t.cost.c3 <- t.cost.c3 +. t.cell_c3.(ci))
     t.cells;
   (* Each unordered pair counted once; cell_overlap counts both directions,
      and the boundary term once per cell.  Deliberately the full O(n^2)
@@ -423,21 +502,41 @@ let recompute_all t =
               cs.exp_tiles)
         t.cells)
     t.cells;
-  t.c2v <- !pairwise +. !boundary;
-  t.c4v <- 0.0;
+  t.cost.c2 <- !pairwise +. !boundary;
+  t.cost.c4 <- 0.0;
   Array.iteri
     (fun k _ ->
       let v = eval_constraint t k in
       t.cpen.(k) <- v;
-      t.c4v <- t.c4v +. v)
+      t.cost.c4 <- t.cost.c4 +. v)
     t.cons
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
+let max_sites (c : Cell.t) =
+  Array.fold_left
+    (fun acc (v : Cell.variant) -> max acc (Array.length v.Cell.sites))
+    0 c.Cell.variants
+
+let make_sim_cell ~max_pins =
+  { m_ci = -1;
+    m_x = 0;
+    m_y = 0;
+    m_orient = Orient.R0;
+    m_variant = 0;
+    m_sites = Array.make max_pins 0;
+    m_px = Array.make max_pins 0;
+    m_py = Array.make max_pins 0;
+    m_abs = [];
+    m_exp = [];
+    m_bbox = Rect.empty;
+    m_c3 = [| 0.0 |] }
+
 let create ~params ~core ~expander ~rng (nl : Netlist.t) =
   if Rect.is_empty core then invalid_arg "Placement.create: empty core";
   let n = Netlist.n_cells nl in
+  let tables = Array.map Sites.table nl.Netlist.cells in
   let cells =
     Array.init n (fun ci ->
         let c = nl.Netlist.cells.(ci) in
@@ -445,12 +544,13 @@ let create ~params ~core ~expander ~rng (nl : Netlist.t) =
           y = Twmc_sa.Rng.int_incl rng core.Rect.y0 core.Rect.y1;
           orient = Orient.R0;
           variant = 0;
-          sites = Sites.random_assignment rng c ~variant:0;
+          sites = Sites.random_assignment rng tables.(ci) ~variant:0;
           abs_tiles = [];
           exp_tiles = [];
-          pin_pos = Array.make (Cell.n_pins c) (0, 0);
+          pin_x = Array.make (Cell.n_pins c) 0;
+          pin_y = Array.make (Cell.n_pins c) 0;
           bbox = Rect.empty;
-          occ = [||] })
+          occ = Array.make (max_sites c) 0 })
   in
   (* Preplaced macros start at their target, overriding the random draw
      (the draw still happens, keeping RNG consumption uniform per cell). *)
@@ -494,6 +594,9 @@ let create ~params ~core ~expander ~rng (nl : Netlist.t) =
   let max_pins =
     Array.fold_left (fun acc c -> max acc (Cell.n_pins c)) 0 nl.Netlist.cells
   in
+  let max_sites_all =
+    Array.fold_left (fun acc c -> max acc (max_sites c)) 0 nl.Netlist.cells
+  in
   let t =
     { nl;
       prm = params;
@@ -516,22 +619,27 @@ let create ~params ~core ~expander ~rng (nl : Netlist.t) =
       cons;
       cpen = Array.make (Array.length cons) 0.0;
       cons_of_cell;
-      c1v = 0.0;
-      c2v = 0.0;
-      c3v = 0.0;
-      c4v = 0.0;
-      teilv = 0.0;
+      tables;
+      cost = zero_terms ();
       p2v = 1.0;
       (* Placeholder one-bin index; [recompute_all] installs the real one. *)
       idx =
         Spatial.create ~world:core
           ~cell_size:(max 1 (max (Rect.width core) (Rect.height core)));
-      old_pp = Array.make max_pins (0, 0);
+      cand = Array.make n 0;
+      old_px = Array.make max_pins 0;
+      old_py = Array.make max_pins 0;
+      sim = zero_terms ();
       sim_net_c1 = Array.make n_nets 0.0;
       sim_net_stamp = Array.make n_nets 0;
+      sim_occ = Array.make max_sites_all 0;
       sim_cpen = Array.make (Array.length cons) 0.0;
       sim_cpen_stamp = Array.make (Array.length cons) 0;
       sim_stamp = 0;
+      pend_stamp = Array.make n 0;
+      pend_slot = Array.make n 0;
+      pool = Array.init 2 (fun _ -> make_sim_cell ~max_pins);
+      n_pending = 0;
       tiles_cache =
         Array.init n (fun ci ->
             Array.init (Cell.n_variants nl.Netlist.cells.(ci)) (fun _ ->
@@ -563,16 +671,18 @@ let cell_pos t ci = (t.cells.(ci).x, t.cells.(ci).y)
 let cell_orient t ci = t.cells.(ci).orient
 let cell_variant t ci = t.cells.(ci).variant
 let site_of_pin t ~cell ~pin = t.cells.(cell).sites.(pin)
-let pin_position t ~cell ~pin = t.cells.(cell).pin_pos.(pin)
+let site_table t ci = t.tables.(ci)
+let pin_position t ~cell ~pin =
+  (t.cells.(cell).pin_x.(pin), t.cells.(cell).pin_y.(pin))
 let abs_tiles t ci = t.cells.(ci).abs_tiles
 let expanded_tiles t ci = t.cells.(ci).exp_tiles
-let c1 t = t.c1v
-let c2_raw t = t.c2v
-let c3 t = t.c3v
-let c4 t = t.c4v
+let c1 t = t.cost.c1
+let c2_raw t = t.cost.c2
+let c3 t = t.cost.c3
+let c4 t = t.cost.c4
 let p2 t = t.p2v
 let set_p2 t v = t.p2v <- v
-let teil t = t.teilv
+let teil t = t.cost.teil
 let n_constraints t = Array.length t.cons
 let constraints t = t.cons
 let constraint_penalty t k = t.cpen.(k)
@@ -581,9 +691,11 @@ let constraint_penalty t k = t.cpen.(k)
    constraints produce bit-identical costs (and trajectories) to the
    pre-constraint engine. *)
 let total_cost t =
-  let base = t.c1v +. (t.p2v *. t.c2v) +. (t.prm.Params.p3 *. t.c3v) in
+  let base =
+    t.cost.c1 +. (t.p2v *. t.cost.c2) +. (t.prm.Params.p3 *. t.cost.c3)
+  in
   if Array.length t.cons = 0 then base
-  else base +. (t.prm.Params.p4 *. t.c4v)
+  else base +. (t.prm.Params.p4 *. t.cost.c4)
 
 let chip_bbox t =
   Array.fold_left
@@ -594,65 +706,69 @@ let chip_bbox t =
 (* Mutation                                                            *)
 
 let update_nets_of_cell t ci =
-  Array.iteri
-    (fun k n ->
-      update_net_span t ci k n;
-      let c1', len' = net_cost_of_span t n in
-      t.c1v <- t.c1v -. t.net_c1.(n) +. c1';
-      t.teilv <- t.teilv -. t.net_len.(n) +. len';
-      t.net_c1.(n) <- c1';
-      t.net_len.(n) <- len')
-    t.cell_nets.(ci)
+  let nets = t.cell_nets.(ci) in
+  for k = 0 to Array.length nets - 1 do
+    let n = nets.(k) in
+    update_net_span t ci k n;
+    let dx = float_of_int (t.net_maxx.(n) - t.net_minx.(n))
+    and dy = float_of_int (t.net_maxy.(n) - t.net_miny.(n)) in
+    let c1' = net_c1_of t.nl.Netlist.nets.(n) ~dx ~dy
+    and len' = net_len_of ~dx ~dy in
+    t.cost.c1 <- t.cost.c1 -. t.net_c1.(n) +. c1';
+    t.cost.teil <- t.cost.teil -. t.net_len.(n) +. len';
+    t.net_c1.(n) <- c1';
+    t.net_len.(n) <- len'
+  done
+
+let save_pin_positions t cs =
+  let n = Array.length cs.pin_x in
+  Array.blit cs.pin_x 0 t.old_px 0 n;
+  Array.blit cs.pin_y 0 t.old_py 0 n
 
 let set_cell_sites t ci sites =
   let cs = t.cells.(ci) in
-  let c = t.nl.Netlist.cells.(ci) in
-  Array.blit cs.pin_pos 0 t.old_pp 0 (Array.length cs.pin_pos);
-  cs.sites <- sites;
-  let site_pos = cached_sites t ci cs.variant cs.orient in
-  Array.iteri
-    (fun p (pin : Pin.t) ->
-      match pin.Pin.loc with
-      | Pin.Uncommitted _ ->
-          let lx, ly = site_pos.(cs.sites.(p)) in
-          cs.pin_pos.(p) <- (cs.x + lx, cs.y + ly)
-      | Pin.Fixed _ -> ())
-    c.Cell.pins;
+  save_pin_positions t cs;
+  Array.blit sites 0 cs.sites 0 (Array.length cs.sites);
+  fill_pin_positions t ci ~x:cs.x ~y:cs.y ~variant:cs.variant
+    ~orient:cs.orient ~sites:cs.sites cs.pin_x cs.pin_y;
   update_nets_of_cell t ci;
   refresh_occupancy t ci
 
+let rec mem_from x a i =
+  i < Array.length a && (a.(i) = x || mem_from x a (i + 1))
+
 (* Clamp a site assignment into [variant]'s site array, honouring edge
-   restrictions; mutates [sites] in place. *)
-let reclamp_sites c ~variant sites =
+   restrictions: a site still allowed stays, any other moves to the first
+   allowed site.  Mutates the first [n_pins] entries of [sites] in place. *)
+let reclamp_sites (tbl : Sites.table) ~variant sites =
+  let c = tbl.Sites.cell in
   let n_sites = Array.length (Cell.variant c variant).Cell.sites in
-  Array.iteri
-    (fun p s ->
-      if s >= 0 then begin
-        let s = if s < n_sites then s else s mod max 1 n_sites in
-        let allowed = Cell.allowed_sites c ~variant p in
-        sites.(p) <-
-          (if List.mem s allowed then s
-           else
-             match allowed with
-             | [] ->
-                 invalid_arg
-                   "Placement.set_cell: pin has no allowed site in new \
-                    variant"
-             | a :: _ -> a)
-      end)
-    sites
+  let allowed = tbl.Sites.allowed.(variant) in
+  for p = 0 to Cell.n_pins c - 1 do
+    let s = sites.(p) in
+    if s >= 0 then begin
+      let s = if s < n_sites then s else s mod max 1 n_sites in
+      let a = allowed.(p) in
+      sites.(p) <-
+        (if mem_from s a 0 then s
+         else if Array.length a = 0 then
+           invalid_arg
+             "Placement.set_cell: pin has no allowed site in new variant"
+         else a.(0))
+    end
+  done
 
 let set_cell t ci ?x ?y ?orient ?variant ?sites () =
   match (x, y, orient, variant, sites) with
   | None, None, None, None, Some s ->
       (* Pin sites only, geometry untouched: C2 cannot change.  Safe for
          bit-identity because the overlap totals are integer-valued floats,
-         so the skipped [c2v -. ov +. ov] chain is exact. *)
+         so the skipped [c2 -. ov +. ov] chain is exact. *)
       set_cell_sites t ci s
   | _ ->
       let cs = t.cells.(ci) in
       let ov_old = cell_overlap t ci in
-      Array.blit cs.pin_pos 0 t.old_pp 0 (Array.length cs.pin_pos);
+      save_pin_positions t cs;
       let variant_changed =
         match variant with Some v -> v <> cs.variant | None -> false
       in
@@ -661,21 +777,22 @@ let set_cell t ci ?x ?y ?orient ?variant ?sites () =
       (match orient with Some v -> cs.orient <- v | None -> ());
       (match variant with Some v -> cs.variant <- v | None -> ());
       (match sites with
-      | Some s -> cs.sites <- s
+      | Some s -> Array.blit s 0 cs.sites 0 (Array.length cs.sites)
       | None ->
           if variant_changed then
-            reclamp_sites t.nl.Netlist.cells.(ci) ~variant:cs.variant cs.sites);
+            reclamp_sites t.tables.(ci) ~variant:cs.variant cs.sites);
       refresh_cell t ci;
       update_nets_of_cell t ci;
       let ov_new = cell_overlap t ci in
-      t.c2v <- t.c2v -. ov_old +. ov_new;
+      t.cost.c2 <- t.cost.c2 -. ov_old +. ov_new;
       if variant_changed || sites <> None then refresh_occupancy t ci;
-      Array.iter
-        (fun k ->
-          let v = eval_constraint t k in
-          t.c4v <- t.c4v -. t.cpen.(k) +. v;
-          t.cpen.(k) <- v)
-        t.cons_of_cell.(ci)
+      let ks = t.cons_of_cell.(ci) in
+      for i = 0 to Array.length ks - 1 do
+        let k = ks.(i) in
+        let v = eval_constraint t k in
+        t.cost.c4 <- t.cost.c4 -. t.cpen.(k) +. v;
+        t.cpen.(k) <- v
+      done
 
 (* ------------------------------------------------------------------ *)
 (* Evaluate-without-apply                                              *)
@@ -691,232 +808,215 @@ type move =
     }
   | Sites_move of { ci : int; sites : int array }
 
-(* Simulated state of a cell touched by pending moves. *)
-type sim_cell = {
-  m_ci : int;
-  m_x : int;
-  m_y : int;
-  m_orient : Orient.t;
-  m_variant : int;
-  m_sites : int array;
-  m_pp : (int * int) array;
-  m_abs : Rect.t list;
-  m_exp : Rect.t list;
-  m_bbox : Rect.t;
-  mutable m_c3 : float;
-}
+(* [delta_cost] computes exactly the float that [apply_move]-ing every move
+   and then subtracting the prior [total_cost] would produce — same
+   accumulator chains in the same order on the same operands — without
+   mutating the placement.  Keeping the delta bit-identical keeps the
+   Metropolis RNG consumption, and therefore whole trajectories, identical
+   to the mutate-and-restore path it replaced.  Everything below runs on
+   preallocated scratch: no closures, options or tuples per trial. *)
 
-(* Computes exactly the float that [apply_move]-ing every move and then
-   subtracting the prior [total_cost] would produce — same accumulator
-   chains in the same order on the same operands — without mutating the
-   placement.  Keeping the delta bit-identical keeps the Metropolis RNG
-   consumption, and therefore whole trajectories, identical to the
-   mutate-and-restore path this replaces. *)
-let delta_cost t moves =
-  t.sim_stamp <- t.sim_stamp + 1;
+let[@inline] is_pending t ci = t.pend_stamp.(ci) = t.sim_stamp
+
+(* Rescan every net of cell [ci] over effective pin positions and chain the
+   C1 changes.  Extremes are exact ints, so a rescan and the incremental
+   update of the apply path agree bit for bit. *)
+let sim_update_nets t ci =
   let stamp = t.sim_stamp in
-  let pending = ref [] in
-  let find_pending ci = List.find_opt (fun pc -> pc.m_ci = ci) !pending in
-  let install pc =
-    pending := pc :: List.filter (fun q -> q.m_ci <> pc.m_ci) !pending
-  in
-  let eff_pp cell =
-    match find_pending cell with
-    | Some pc -> pc.m_pp
-    | None -> t.cells.(cell).pin_pos
-  in
-  let eff_net_c1 n =
-    if t.sim_net_stamp.(n) = stamp then t.sim_net_c1.(n) else t.net_c1.(n)
-  in
-  let tot0 = total_cost t in
-  let c1acc = ref t.c1v and c2acc = ref t.c2v and c3acc = ref t.c3v in
-  let c4acc = ref t.c4v in
-  (* Effective constraint evaluation over pending-aware views, mirroring
-     the per-constraint chain [set_cell] runs on its committed caches. *)
-  let eff_cpen k =
-    if t.sim_cpen_stamp.(k) = stamp then t.sim_cpen.(k) else t.cpen.(k)
-  in
-  let sim_eval_constraint k =
-    float_of_int
-      (Constr.eval ~n_cells:(Array.length t.cells)
-         ~tiles:(fun ci ->
-           match find_pending ci with
-           | Some pc -> pc.m_abs
-           | None -> t.cells.(ci).abs_tiles)
-         ~pos:(fun ci ->
-           match find_pending ci with
-           | Some pc -> (pc.m_x, pc.m_y)
-           | None -> (t.cells.(ci).x, t.cells.(ci).y))
-         ~core:t.core t.cons.(k))
-  in
-  (* Rescan of one net over effective pin positions.  Extremes are exact
-     ints, so a rescan and the incremental update of the apply path agree
-     bit-for-bit. *)
-  let sim_net_cost n =
+  let nets = t.cell_nets.(ci) in
+  for k = 0 to Array.length nets - 1 do
+    let n = nets.(k) in
     let net = t.nl.Netlist.nets.(n) in
+    let pins = net.Net.pins in
     let minx = ref max_int and maxx = ref min_int in
     let miny = ref max_int and maxy = ref min_int in
-    Array.iter
-      (fun (r : Net.pin_ref) ->
-        let x, y = (eff_pp r.Net.cell).(r.Net.pin) in
-        if x < !minx then minx := x;
-        if x > !maxx then maxx := x;
-        if y < !miny then miny := y;
-        if y > !maxy then maxy := y)
-      net.Net.pins;
-    let dx = float_of_int (!maxx - !minx) and dy = float_of_int (!maxy - !miny) in
-    (dx *. net.Net.hweight) +. (dy *. net.Net.vweight)
-  in
-  let sim_update_nets ci =
-    Array.iter
-      (fun n ->
-        let c1' = sim_net_cost n in
-        c1acc := !c1acc -. eff_net_c1 n +. c1';
-        t.sim_net_c1.(n) <- c1';
-        t.sim_net_stamp.(n) <- stamp)
-      t.cell_nets.(ci)
-  in
-  (* Overlap of an effective tile set: index candidates carry the committed
-     geometry, so pending cells are skipped there and added back with their
-     simulated geometry.  Integer sum — enumeration order is irrelevant. *)
-  let sim_overlap ci ~exp ~bbox =
-    let total = ref 0 in
-    List.iter
-      (fun r -> total := !total + (Rect.area r - Rect.inter_area r t.core))
-      exp;
-    Spatial.iter_query t.idx bbox (fun cj ->
-        if
-          cj <> ci
-          && (match find_pending cj with None -> true | Some _ -> false)
-        then begin
-          let other = t.cells.(cj) in
-          if Rect.overlaps bbox other.bbox then
-            tiles_overlap exp other.exp_tiles total
-        end);
-    List.iter
-      (fun pc ->
-        if pc.m_ci <> ci && Rect.overlaps bbox pc.m_bbox then
-          tiles_overlap exp pc.m_exp total)
-      !pending;
-    float_of_int !total
-  in
-  let eff_view ci =
-    match find_pending ci with
-    | Some pc ->
-        ( pc.m_x, pc.m_y, pc.m_orient, pc.m_variant, pc.m_sites, pc.m_abs,
-          pc.m_exp, pc.m_bbox, pc.m_c3 )
-    | None ->
-        let cs = t.cells.(ci) in
-        ( cs.x, cs.y, cs.orient, cs.variant, cs.sites, cs.abs_tiles,
-          cs.exp_tiles, cs.bbox, t.cell_c3.(ci) )
-  in
-  (* Mirrors [set_cell_sites]. *)
-  let sim_sites_move ci sites =
-    let ex, ey, eorient, evariant, _, eabs, eexp, ebbox, ec3 = eff_view ci in
-    let c = t.nl.Netlist.cells.(ci) in
-    let pp = Array.copy (eff_pp ci) in
-    let site_pos = cached_sites t ci evariant eorient in
-    Array.iteri
-      (fun p (pin : Pin.t) ->
-        match pin.Pin.loc with
-        | Pin.Uncommitted _ ->
-            let lx, ly = site_pos.(sites.(p)) in
-            pp.(p) <- (ex + lx, ey + ly)
-        | Pin.Fixed _ -> ())
-      c.Cell.pins;
-    let pc =
-      { m_ci = ci; m_x = ex; m_y = ey; m_orient = eorient;
-        m_variant = evariant; m_sites = sites; m_pp = pp; m_abs = eabs;
-        m_exp = eexp; m_bbox = ebbox; m_c3 = ec3 }
+    for i = 0 to Array.length pins - 1 do
+      let r = pins.(i) in
+      let c = r.Net.cell and p = r.Net.pin in
+      let x, y =
+        if is_pending t c then
+          let pc = t.pool.(t.pend_slot.(c)) in
+          (pc.m_px.(p), pc.m_py.(p))
+        else
+          let cs = t.cells.(c) in
+          (cs.pin_x.(p), cs.pin_y.(p))
+      in
+      if x < !minx then minx := x;
+      if x > !maxx then maxx := x;
+      if y < !miny then miny := y;
+      if y > !maxy then maxy := y
+    done;
+    let dx = float_of_int (!maxx - !minx)
+    and dy = float_of_int (!maxy - !miny) in
+    let c1' = net_c1_of net ~dx ~dy in
+    let prev =
+      if t.sim_net_stamp.(n) = stamp then t.sim_net_c1.(n) else t.net_c1.(n)
     in
-    install pc;
-    sim_update_nets ci;
-    let occ = occupancy_of t ci ~variant:evariant ~sites in
-    let c3' = c3_of_occ t ci ~variant:evariant occ in
-    c3acc := !c3acc -. ec3 +. c3';
-    pc.m_c3 <- c3'
-  in
-  (* Mirrors [set_cell], including its sites-only routing. *)
-  let sim_cell_move ci ~x ~y ~orient ~variant ~sites =
-    match (x, y, orient, variant, sites) with
-    | None, None, None, None, Some s -> sim_sites_move ci s
-    | _ ->
-        let ex, ey, eorient, evariant, esites, _, eexp, ebbox, ec3 =
-          eff_view ci
-        in
-        let ov_old = sim_overlap ci ~exp:eexp ~bbox:ebbox in
-        let variant_changed =
-          match variant with Some v -> v <> evariant | None -> false
-        in
-        let nx = match x with Some v -> v | None -> ex in
-        let ny = match y with Some v -> v | None -> ey in
-        let norient = match orient with Some v -> v | None -> eorient in
-        let nvariant = match variant with Some v -> v | None -> evariant in
-        let nsites =
-          match sites with
-          | Some s -> s
-          | None ->
-              if variant_changed then begin
-                let s = Array.copy esites in
-                reclamp_sites t.nl.Netlist.cells.(ci) ~variant:nvariant s;
-                s
-              end
-              else esites
-        in
-        (* Candidate geometry — mirrors [refresh_cell]. *)
-        let c = t.nl.Netlist.cells.(ci) in
-        let tiles0 = cached_tiles t ci nvariant norient in
-        let abs = List.map (fun r -> Rect.translate r ~dx:nx ~dy:ny) tiles0 in
-        let exp = List.map (expand_tile t ci nvariant) abs in
-        let bbox =
-          match exp with
-          | [] -> Rect.empty
-          | r :: rest -> List.fold_left Rect.hull r rest
-        in
-        let fixed = cached_fixed t ci norient in
-        let site_pos = cached_sites t ci nvariant norient in
-        let pp = Array.make (Cell.n_pins c) (0, 0) in
-        Array.iteri
-          (fun p (pin : Pin.t) ->
-            let lx, ly =
-              match pin.Pin.loc with
-              | Pin.Fixed _ -> fixed.(p)
-              | Pin.Uncommitted _ -> site_pos.(nsites.(p))
-            in
-            pp.(p) <- (nx + lx, ny + ly))
-          c.Cell.pins;
-        let pc =
-          { m_ci = ci; m_x = nx; m_y = ny; m_orient = norient;
-            m_variant = nvariant; m_sites = nsites; m_pp = pp; m_abs = abs;
-            m_exp = exp; m_bbox = bbox; m_c3 = ec3 }
-        in
-        install pc;
-        sim_update_nets ci;
-        let ov_new = sim_overlap ci ~exp ~bbox in
-        c2acc := !c2acc -. ov_old +. ov_new;
-        if variant_changed || sites <> None then begin
-          let occ = occupancy_of t ci ~variant:nvariant ~sites:nsites in
-          let c3' = c3_of_occ t ci ~variant:nvariant occ in
-          c3acc := !c3acc -. ec3 +. c3';
-          pc.m_c3 <- c3'
-        end;
-        Array.iter
-          (fun k ->
-            let v = sim_eval_constraint k in
-            c4acc := !c4acc -. eff_cpen k +. v;
-            t.sim_cpen.(k) <- v;
-            t.sim_cpen_stamp.(k) <- stamp)
-          t.cons_of_cell.(ci)
-  in
-  List.iter
-    (function
-      | Cell_move { ci; x; y; orient; variant; sites } ->
-          sim_cell_move ci ~x ~y ~orient ~variant ~sites
-      | Sites_move { ci; sites } -> sim_sites_move ci sites)
-    moves;
-  let base = !c1acc +. (t.p2v *. !c2acc) +. (t.prm.Params.p3 *. !c3acc) in
+    t.sim.c1 <- t.sim.c1 -. prev +. c1';
+    t.sim_net_c1.(n) <- c1';
+    t.sim_net_stamp.(n) <- stamp
+  done
+
+(* Overlap of an effective tile set: index candidates carry the committed
+   geometry, so pending cells are skipped there and added back with their
+   simulated geometry.  Integer sum — enumeration order is irrelevant. *)
+let sim_overlap t ci exp bbox =
+  let total = ref (boundary_overlap t.core exp 0) in
+  let n = Spatial.query_into t.idx bbox t.cand in
+  for i = 0 to n - 1 do
+    let cj = t.cand.(i) in
+    if cj <> ci && not (is_pending t cj) then begin
+      let other = t.cells.(cj) in
+      if Rect.overlaps bbox other.bbox then
+        total := tiles_overlap exp other.exp_tiles !total
+    end
+  done;
+  for s = 0 to t.n_pending - 1 do
+    let pc = t.pool.(s) in
+    if pc.m_ci <> ci && Rect.overlaps bbox pc.m_bbox then
+      total := tiles_overlap exp pc.m_exp !total
+  done;
+  !total
+
+(* Simulated occupancy of [pc]'s sites and the C3 chain; mirrors
+   [refresh_occupancy]. *)
+let sim_occupancy t pc =
+  fill_occupancy t pc.m_ci ~variant:pc.m_variant ~sites:pc.m_sites t.sim_occ;
+  let c3' = c3_of_occ t pc.m_ci ~variant:pc.m_variant t.sim_occ in
+  t.sim.c3 <- t.sim.c3 -. pc.m_c3.(0) +. c3';
+  pc.m_c3.(0) <- c3'
+
+(* Effective constraint evaluation over pending-aware views, mirroring the
+   per-constraint chain [set_cell] runs on its committed caches. *)
+let sim_eval_constraint t k =
+  float_of_int
+    (Constr.eval ~n_cells:(Array.length t.cells)
+       ~tiles:(fun ci ->
+         if is_pending t ci then t.pool.(t.pend_slot.(ci)).m_abs
+         else t.cells.(ci).abs_tiles)
+       ~pos:(fun ci ->
+         if is_pending t ci then
+           let pc = t.pool.(t.pend_slot.(ci)) in
+           (pc.m_x, pc.m_y)
+         else (t.cells.(ci).x, t.cells.(ci).y))
+       ~core:t.core t.cons.(k))
+
+let sim_constraints t ci =
+  let ks = t.cons_of_cell.(ci) in
+  for i = 0 to Array.length ks - 1 do
+    let k = ks.(i) in
+    let v = sim_eval_constraint t k in
+    let prev =
+      if t.sim_cpen_stamp.(k) = t.sim_stamp then t.sim_cpen.(k) else t.cpen.(k)
+    in
+    t.sim.c4 <- t.sim.c4 -. prev +. v;
+    t.sim_cpen.(k) <- v;
+    t.sim_cpen_stamp.(k) <- t.sim_stamp
+  done
+
+(* The pool slot holding [ci]'s effective state for this pass: its own
+   when it is already pending, else the next free slot (the pool grows
+   when a move list touches more cells than it has slots), loaded from the
+   committed cell. *)
+let pending_view t ci =
+  if is_pending t ci then t.pool.(t.pend_slot.(ci))
+  else begin
+    let slot = t.n_pending in
+    if slot = Array.length t.pool then begin
+      let max_pins = Array.length t.old_px in
+      t.pool <-
+        Array.append t.pool
+          (Array.init slot (fun _ -> make_sim_cell ~max_pins))
+    end;
+    t.n_pending <- slot + 1;
+    t.pend_stamp.(ci) <- t.sim_stamp;
+    t.pend_slot.(ci) <- slot;
+    let pc = t.pool.(slot) and cs = t.cells.(ci) in
+    let n = Array.length cs.sites in
+    pc.m_ci <- ci;
+    pc.m_x <- cs.x;
+    pc.m_y <- cs.y;
+    pc.m_orient <- cs.orient;
+    pc.m_variant <- cs.variant;
+    Array.blit cs.sites 0 pc.m_sites 0 n;
+    Array.blit cs.pin_x 0 pc.m_px 0 n;
+    Array.blit cs.pin_y 0 pc.m_py 0 n;
+    pc.m_abs <- cs.abs_tiles;
+    pc.m_exp <- cs.exp_tiles;
+    pc.m_bbox <- cs.bbox;
+    pc.m_c3.(0) <- t.cell_c3.(ci);
+    pc
+  end
+
+(* Mirrors [set_cell_sites]. *)
+let sim_sites_move t ci sites =
+  let pc = pending_view t ci in
+  Array.blit sites 0 pc.m_sites 0 (Cell.n_pins t.nl.Netlist.cells.(ci));
+  fill_pin_positions t ci ~x:pc.m_x ~y:pc.m_y ~variant:pc.m_variant
+    ~orient:pc.m_orient ~sites:pc.m_sites pc.m_px pc.m_py;
+  sim_update_nets t ci;
+  sim_occupancy t pc
+
+(* Mirrors [set_cell], including its sites-only routing. *)
+let sim_cell_move t ci ~x ~y ~orient ~variant ~sites =
+  match (x, y, orient, variant, sites) with
+  | None, None, None, None, Some s -> sim_sites_move t ci s
+  | _ ->
+      let pc = pending_view t ci in
+      (* The cell's own slot is skipped by [sim_overlap], so the prior
+         overlap can be taken with the slot already claimed. *)
+      let ov_old = sim_overlap t ci pc.m_exp pc.m_bbox in
+      let variant_changed =
+        match variant with Some v -> v <> pc.m_variant | None -> false
+      in
+      (match x with Some v -> pc.m_x <- v | None -> ());
+      (match y with Some v -> pc.m_y <- v | None -> ());
+      (match orient with Some v -> pc.m_orient <- v | None -> ());
+      (match variant with Some v -> pc.m_variant <- v | None -> ());
+      (match sites with
+      | Some s ->
+          Array.blit s 0 pc.m_sites 0 (Cell.n_pins t.nl.Netlist.cells.(ci))
+      | None ->
+          if variant_changed then
+            reclamp_sites t.tables.(ci) ~variant:pc.m_variant pc.m_sites);
+      (* Candidate geometry — mirrors [refresh_cell]. *)
+      pc.m_abs <-
+        translate_tiles
+          (cached_tiles t ci pc.m_variant pc.m_orient)
+          ~dx:pc.m_x ~dy:pc.m_y;
+      pc.m_exp <- expand_tiles t ci pc.m_variant pc.m_abs;
+      pc.m_bbox <- bbox_of pc.m_exp;
+      fill_pin_positions t ci ~x:pc.m_x ~y:pc.m_y ~variant:pc.m_variant
+        ~orient:pc.m_orient ~sites:pc.m_sites pc.m_px pc.m_py;
+      sim_update_nets t ci;
+      let ov_new = sim_overlap t ci pc.m_exp pc.m_bbox in
+      t.sim.c2 <-
+        t.sim.c2 -. float_of_int ov_old +. float_of_int ov_new;
+      if variant_changed || sites <> None then sim_occupancy t pc;
+      sim_constraints t ci
+
+let rec sim_moves t = function
+  | [] -> ()
+  | Cell_move { ci; x; y; orient; variant; sites } :: rest ->
+      sim_cell_move t ci ~x ~y ~orient ~variant ~sites;
+      sim_moves t rest
+  | Sites_move { ci; sites } :: rest ->
+      sim_sites_move t ci sites;
+      sim_moves t rest
+
+let delta_cost t moves =
+  t.sim_stamp <- t.sim_stamp + 1;
+  t.n_pending <- 0;
+  let tot0 = total_cost t in
+  let sim = t.sim in
+  sim.c1 <- t.cost.c1;
+  sim.c2 <- t.cost.c2;
+  sim.c3 <- t.cost.c3;
+  sim.c4 <- t.cost.c4;
+  sim_moves t moves;
+  let base = sim.c1 +. (t.p2v *. sim.c2) +. (t.prm.Params.p3 *. sim.c3) in
   (if Array.length t.cons = 0 then base
-   else base +. (t.prm.Params.p4 *. !c4acc))
+   else base +. (t.prm.Params.p4 *. sim.c4))
   -. tot0
 
 let apply_move t = function
@@ -950,7 +1050,8 @@ type cell_snapshot = {
   s_sites : int array;
   s_abs : Rect.t list;
   s_exp : Rect.t list;
-  s_pp : (int * int) array;
+  s_px : int array;
+  s_py : int array;
   s_bbox : Rect.t;
   s_occ : int array;
   s_c3 : float;
@@ -967,14 +1068,14 @@ type cost_snapshot = {
 }
 
 let snapshot_cost t =
-  { g_c1 = t.c1v; g_c2 = t.c2v; g_c3 = t.c3v; g_c4 = t.c4v; g_teil = t.teilv }
+  { g_c1 = t.cost.c1; g_c2 = t.cost.c2; g_c3 = t.cost.c3; g_c4 = t.cost.c4; g_teil = t.cost.teil }
 
 let restore_cost t s =
-  t.c1v <- s.g_c1;
-  t.c2v <- s.g_c2;
-  t.c3v <- s.g_c3;
-  t.c4v <- s.g_c4;
-  t.teilv <- s.g_teil
+  t.cost.c1 <- s.g_c1;
+  t.cost.c2 <- s.g_c2;
+  t.cost.c3 <- s.g_c3;
+  t.cost.c4 <- s.g_c4;
+  t.cost.teil <- s.g_teil
 
 let snapshot_cell t ci =
   let cs = t.cells.(ci) in
@@ -986,7 +1087,8 @@ let snapshot_cell t ci =
     s_sites = Array.copy cs.sites;
     s_abs = cs.abs_tiles;
     s_exp = cs.exp_tiles;
-    s_pp = Array.copy cs.pin_pos;
+    s_px = Array.copy cs.pin_x;
+    s_py = Array.copy cs.pin_y;
     s_bbox = cs.bbox;
     s_occ = Array.copy cs.occ;
     s_c3 = t.cell_c3.(ci);
@@ -1013,12 +1115,13 @@ let restore_cell t s =
   cs.y <- s.s_y;
   cs.orient <- s.s_orient;
   cs.variant <- s.s_variant;
-  cs.sites <- s.s_sites;
+  Array.blit s.s_sites 0 cs.sites 0 (Array.length cs.sites);
   cs.abs_tiles <- s.s_abs;
   cs.exp_tiles <- s.s_exp;
-  cs.pin_pos <- s.s_pp;
+  Array.blit s.s_px 0 cs.pin_x 0 (Array.length cs.pin_x);
+  Array.blit s.s_py 0 cs.pin_y 0 (Array.length cs.pin_y);
   cs.bbox <- s.s_bbox;
-  cs.occ <- s.s_occ;
+  Array.blit s.s_occ 0 cs.occ 0 (Array.length cs.occ);
   Spatial.update t.idx s.s_idx s.s_bbox;
   t.cell_c3.(s.s_idx) <- s.s_c3;
   Array.iter
@@ -1041,8 +1144,8 @@ let restore_cell t s =
 (* Verification                                                        *)
 
 let drift_report t =
-  let c1 = t.c1v and c2 = t.c2v and c3 = t.c3v and c4 = t.c4v
-  and teil = t.teilv in
+  let c1 = t.cost.c1 and c2 = t.cost.c2 and c3 = t.cost.c3 and c4 = t.cost.c4
+  and teil = t.cost.teil in
   recompute_all t;
   let close a b =
     Float.abs (a -. b) <= 1e-6 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
@@ -1050,8 +1153,8 @@ let drift_report t =
   List.filter_map
     (fun (term, cached, truth) ->
       if close cached truth then None else Some (term, cached, truth))
-    [ ("C1", c1, t.c1v); ("C2", c2, t.c2v); ("C3", c3, t.c3v);
-      ("C4", c4, t.c4v); ("TEIL", teil, t.teilv) ]
+    [ ("C1", c1, t.cost.c1); ("C2", c2, t.cost.c2); ("C3", c3, t.cost.c3);
+      ("C4", c4, t.cost.c4); ("TEIL", teil, t.cost.teil) ]
 
 let verify_consistency t =
   match drift_report t with
@@ -1088,5 +1191,5 @@ let verify_index t =
 
 let pp_summary ppf t =
   Format.fprintf ppf "C1=%.0f C2=%.0f (p2=%.3g) C3=%.0f TEIL=%.0f cost=%.0f"
-    t.c1v t.c2v t.p2v t.c3v t.teilv (total_cost t);
-  if Array.length t.cons > 0 then Format.fprintf ppf " C4=%.0f" t.c4v
+    t.cost.c1 t.cost.c2 t.p2v t.cost.c3 t.cost.teil (total_cost t);
+  if Array.length t.cons > 0 then Format.fprintf ppf " C4=%.0f" t.cost.c4

@@ -57,6 +57,9 @@ val cell_variant : t -> int -> int
 val site_of_pin : t -> cell:int -> pin:int -> int
 (** [-1] for committed pins. *)
 
+val site_table : t -> int -> Sites.table
+(** The cell's pin-site tables, built once at {!create}. *)
+
 val pin_position : t -> cell:int -> pin:int -> int * int
 val abs_tiles : t -> int -> Twmc_geometry.Rect.t list
 val expanded_tiles : t -> int -> Twmc_geometry.Rect.t list
@@ -72,12 +75,15 @@ val set_cell :
   unit ->
   unit
 (** Mutates the cell and incrementally updates every cache and cost term.
-    A variant change re-clamps out-of-range site assignments. *)
+    A variant change re-clamps out-of-range site assignments.  [~sites] is
+    copied into the cell's own array, never adopted: the caller may reuse
+    or mutate it afterwards. *)
 
 val set_cell_sites : t -> int -> int array -> unit
 (** Fast path for pin moves: replaces the site assignment only.  Skips the
     tile/overlap work ([C2] cannot change when only pins move), updating pin
-    positions, net contributions and occupancy. *)
+    positions, net contributions and occupancy.  Like [set_cell ~sites],
+    copies the array. *)
 
 (** {2 Cost} *)
 
@@ -161,7 +167,9 @@ val delta_cost : t -> move list -> float
     Bit-identical to applying them and differencing {!total_cost} — the
     same accumulator chains run in the same order on the same operands —
     so Metropolis decisions (and RNG consumption) are unchanged versus the
-    mutate-and-restore trial this enables replacing. *)
+    mutate-and-restore trial this enables replacing.  Runs on scratch
+    preallocated in [t]: no closures, options, tuples or arrays per call;
+    only a geometric move allocates, for its candidate tile lists. *)
 
 val apply_move : t -> move -> unit
 (** Commits one move through {!set_cell}/{!set_cell_sites}. *)

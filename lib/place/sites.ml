@@ -48,34 +48,57 @@ let lone_uncommitted (c : Cell.t) =
        c.Cell.pins)
   |> List.filter_map Fun.id
 
-let assign_group c ~variant ~members ~anchor_site ~sites =
-  let v = Cell.variant c variant in
-  let anchor = v.Cell.sites.(anchor_site) in
-  let ranges = edge_ranges v in
-  let start, len = ranges.(anchor.Pin_site.edge) in
+type table = {
+  cell : Cell.t;
+  groups : int array array;
+  lone : int array;
+  n_uncommitted : int;
+  allowed : int array array array;
+  ranges : (int * int) array array;
+}
+
+let table (c : Cell.t) =
+  { cell = c;
+    groups =
+      Array.of_list
+        (List.map
+           (fun (_, members) -> Array.of_list members)
+           (group_members c));
+    lone = Array.of_list (lone_uncommitted c);
+    n_uncommitted =
+      Array.fold_left
+        (fun acc p -> if Pin.is_committed p then acc else acc + 1)
+        0 c.Cell.pins;
+    allowed =
+      Array.init (Cell.n_variants c) (fun variant ->
+          Array.init (Cell.n_pins c) (fun pin ->
+              Array.of_list (Cell.allowed_sites c ~variant pin)));
+    ranges = Array.map edge_ranges c.Cell.variants }
+
+let assign_group tbl ~variant ~members ~anchor_site ~sites =
+  let site = (Cell.variant tbl.cell variant).Cell.sites.(anchor_site) in
+  let edge = site.Pin_site.edge in
+  let start, len = tbl.ranges.(variant).(edge) in
   if len = 0 then invalid_arg "Sites.assign_group: anchor edge has no sites";
   let off = anchor_site - start in
-  List.iteri
-    (fun k pin -> sites.(pin) <- start + ((off + k) mod len))
-    members
+  for k = 0 to Array.length members - 1 do
+    sites.(members.(k)) <- start + ((off + k) mod len)
+  done
 
-let random_assignment rng (c : Cell.t) ~variant =
-  let sites = Array.make (Cell.n_pins c) (-1) in
+let random_assignment rng tbl ~variant =
+  let sites = Array.make (Cell.n_pins tbl.cell) (-1) in
   let pick_allowed pin =
-    match Cell.allowed_sites c ~variant pin with
-    | [] ->
+    match tbl.allowed.(variant).(pin) with
+    | [||] ->
         invalid_arg
           (Printf.sprintf "Sites.random_assignment: pin %d of %s has no site"
-             pin c.Cell.name)
-    | l -> Twmc_sa.Rng.pick_list rng l
+             pin tbl.cell.Cell.name)
+    | a -> Twmc_sa.Rng.pick rng a
   in
-  List.iter (fun p -> sites.(p) <- pick_allowed p) (lone_uncommitted c);
-  List.iter
-    (fun (_, members) ->
-      match members with
-      | [] -> ()
-      | first :: _ ->
-          let anchor = pick_allowed first in
-          assign_group c ~variant ~members ~anchor_site:anchor ~sites)
-    (group_members c);
+  Array.iter (fun p -> sites.(p) <- pick_allowed p) tbl.lone;
+  Array.iter
+    (fun members ->
+      let anchor = pick_allowed members.(0) in
+      assign_group tbl ~variant ~members ~anchor_site:anchor ~sites)
+    tbl.groups;
   sites

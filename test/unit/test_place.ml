@@ -151,6 +151,129 @@ let test_placement_sites_fastpath () =
     | None -> ())
   end
 
+(* The caller's site array is copied, never adopted: mutating it after the
+   call must leave the placement untouched. *)
+let test_sites_copied () =
+  let nl = mixed_netlist () in
+  let p = make_placement nl in
+  let custom = ref [] in
+  Array.iteri
+    (fun ci (c : Cell.t) ->
+      if c.Cell.kind = Cell.Custom && Cell.n_pins c > 0 then
+        custom := ci :: !custom)
+    nl.Netlist.cells;
+  checkb "netlist has a custom cell with pins" true (!custom <> []);
+  let current ci =
+    Array.init
+      (Cell.n_pins nl.Netlist.cells.(ci))
+      (fun pin -> Placement.site_of_pin p ~cell:ci ~pin)
+  in
+  let scribble sites =
+    Array.iteri (fun i s -> if s >= 0 then sites.(i) <- s + 1) sites
+  in
+  List.iter
+    (fun ci ->
+      let before = current ci in
+      let sites = Array.copy before in
+      Placement.set_cell_sites p ci sites;
+      scribble sites;
+      Alcotest.(check (array int)) "set_cell_sites copies" before (current ci);
+      let sites = Array.copy before in
+      Placement.set_cell p ci ~x:5 ~y:(-5) ~sites ();
+      scribble sites;
+      Alcotest.(check (array int)) "set_cell ~sites copies" before (current ci))
+    !custom;
+  Placement.verify_consistency p
+
+(* ------------------------------------------------------- Site tables *)
+
+(* [Sites.table] must equal the list definitions it replaces on the hot
+   path, element for element and in order: the generator draws positions
+   in these arrays, so any reordering would change the RNG-to-site map. *)
+let table_mismatches (nl : Netlist.t) =
+  let bad = ref [] in
+  let fail ci what = bad := Printf.sprintf "cell %d: %s" ci what :: !bad in
+  Array.iteri
+    (fun ci (c : Cell.t) ->
+      let tbl = Sites.table c in
+      if
+        List.map snd (Sites.group_members c)
+        <> Array.to_list (Array.map Array.to_list tbl.Sites.groups)
+      then fail ci "groups";
+      if Sites.lone_uncommitted c <> Array.to_list tbl.Sites.lone then
+        fail ci "lone";
+      let uncommitted =
+        Array.fold_left
+          (fun acc pin -> if Pin.is_committed pin then acc else acc + 1)
+          0 c.Cell.pins
+      in
+      if uncommitted <> tbl.Sites.n_uncommitted then fail ci "n_uncommitted";
+      for variant = 0 to Cell.n_variants c - 1 do
+        if
+          Sites.edge_ranges (Cell.variant c variant)
+          <> tbl.Sites.ranges.(variant)
+        then fail ci (Printf.sprintf "ranges of variant %d" variant);
+        for pin = 0 to Cell.n_pins c - 1 do
+          if
+            Cell.allowed_sites c ~variant pin
+            <> Array.to_list tbl.Sites.allowed.(variant).(pin)
+          then
+            fail ci
+              (Printf.sprintf "allowed sites of pin %d, variant %d" pin variant)
+        done
+      done)
+    nl.Netlist.cells;
+  List.rev !bad
+
+let resolve_netlist name =
+  let candidates =
+    [ Filename.concat "../../examples/netlists" name;
+      Filename.concat "../examples/netlists" name;
+      Filename.concat "examples/netlists" name ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> List.hd candidates
+
+let test_site_tables () =
+  let netlists =
+    List.map
+      (fun f -> (f, Parser.parse_file (resolve_netlist f)))
+      [ "small.twn"; "medium.twn"; "i1.twn" ]
+    @ List.map
+        (fun n -> ("circuit " ^ n, Twmc_workload.Circuits.netlist n))
+        [ "p1"; "i1" ]
+  in
+  let grouped = ref 0 and multi_variant = ref 0 in
+  List.iter
+    (fun (what, nl) ->
+      Alcotest.(check (list string)) what [] (table_mismatches nl);
+      Array.iter
+        (fun c ->
+          let tbl = Sites.table c in
+          grouped := !grouped + Array.length tbl.Sites.groups;
+          if Cell.n_variants c > 1 then incr multi_variant)
+        nl.Netlist.cells)
+    netlists;
+  checkb "coverage: some pin groups" true (!grouped > 0);
+  checkb "coverage: some multi-variant cells" true (!multi_variant > 0)
+
+let prop_site_tables =
+  QCheck.Test.make ~name:"site tables equal the list definitions" ~count:30
+    QCheck.small_int (fun seed ->
+      let nl =
+        Twmc_workload.Synth.generate ~seed
+          { Twmc_workload.Synth.default_spec with
+            Twmc_workload.Synth.n_cells = 6;
+            n_nets = 14;
+            n_pins = 48;
+            frac_custom = 0.7;
+            frac_grouped_pins = 0.5 }
+      in
+      match table_mismatches nl with
+      | [] -> true
+      | first :: _ -> QCheck.Test.fail_reportf "seed %d: %s" seed first)
+
 (* Randomized operation sequences must keep the incremental accumulators in
    sync with full recomputation. *)
 let prop_incremental_consistency =
@@ -518,8 +641,12 @@ let () =
           Alcotest.test_case "orientation" `Quick test_placement_orientation;
           Alcotest.test_case "expander" `Quick test_placement_expander;
           Alcotest.test_case "snapshots" `Quick test_placement_snapshots;
-          Alcotest.test_case "site fast path" `Quick test_placement_sites_fastpath ] );
+          Alcotest.test_case "site fast path" `Quick test_placement_sites_fastpath;
+          Alcotest.test_case "site arrays copied" `Quick test_sites_copied ] );
       ("placement-props", qt [ prop_incremental_consistency ]);
+      ( "site tables",
+        Alcotest.test_case "examples and circuits" `Quick test_site_tables
+        :: qt [ prop_site_tables ] );
       ( "range limiter",
         [ Alcotest.test_case "window" `Quick test_range_limiter;
           Alcotest.test_case "mu start" `Quick test_range_limiter_mu;

@@ -48,6 +48,24 @@ let test_rng_pick_shuffle () =
   Alcotest.check_raises "empty pick" (Invalid_argument "Rng.pick: empty array")
     (fun () -> ignore (Rng.pick rng [||]))
 
+(* The pin-move tables draw with [pick] on arrays where the generator used
+   to draw with [pick_list] on lists: from copies of one state, both must
+   return the same element and leave the streams in step. *)
+let test_rng_pick_matches_pick_list () =
+  let base = Rng.create ~seed:11 in
+  for len = 1 to 9 do
+    let l = List.init len (fun i -> (i * 7) + len) in
+    let arr = Array.of_list l in
+    for _ = 1 to 50 do
+      let a = Rng.copy base and b = Rng.copy base in
+      check (Printf.sprintf "length %d: same element" len)
+        (Rng.pick_list a l) (Rng.pick b arr);
+      check (Printf.sprintf "length %d: streams in step" len)
+        (Rng.int_incl a 0 1_000_000) (Rng.int_incl b 0 1_000_000);
+      ignore (Rng.int_incl base 0 1)
+    done
+  done
+
 let test_rng_gaussian () =
   let rng = Rng.create ~seed:3 in
   let n = 20_000 in
@@ -213,6 +231,8 @@ let () =
         [ Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "pick/shuffle" `Quick test_rng_pick_shuffle;
+          Alcotest.test_case "pick = pick_list" `Quick
+            test_rng_pick_matches_pick_list;
           Alcotest.test_case "gaussian" `Quick test_rng_gaussian;
           Alcotest.test_case "bool prob" `Quick test_rng_bool_prob ] );
       ( "schedule",
