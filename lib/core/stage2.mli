@@ -29,6 +29,8 @@ type iteration = {
   chip_after : Twmc_geometry.Rect.t;
   cost_after : float;
   overlap_after : float;
+  anneal_stop : Twmc_place.Anneal_loop.stop;
+      (** The rule that ended the refinement anneal's cooling. *)
 }
 
 type result = {

@@ -104,24 +104,35 @@ let to_file path =
   output_char oc '\n';
   t
 
-let emit t ev =
+(* Caller holds [t.mutex]. *)
+let write t ev =
   match t.target with
   | Null -> ()
   | Memory m ->
-      Mutex.lock t.mutex;
       if Queue.length m.q >= m.cap then begin
         ignore (Queue.pop m.q);
         m.dropped <- m.dropped + 1
       end;
-      Queue.add ev m.q;
-      Mutex.unlock t.mutex
+      Queue.add ev m.q
   | Channel c ->
-      Mutex.lock t.mutex;
       if not c.closed then begin
         output_string c.oc (jsonl_of_event ev);
         output_char c.oc '\n'
-      end;
-      Mutex.unlock t.mutex
+      end
+
+let emit t ev =
+  if enabled t then begin
+    Mutex.lock t.mutex;
+    write t ev;
+    Mutex.unlock t.mutex
+  end
+
+let emit_now t make =
+  if enabled t then begin
+    Mutex.lock t.mutex;
+    write t (make (Clock.now_ns ()));
+    Mutex.unlock t.mutex
+  end
 
 let close t =
   match t.target with

@@ -53,6 +53,12 @@ val to_file : string -> t
 (** Opens [path] for writing and emits JSONL; call {!close} when done. *)
 
 val emit : t -> event -> unit
+
+val emit_now : t -> (int -> event) -> unit
+(** [emit_now t make] emits [make now], reading the clock under the sink's
+    lock: events emitted this way from concurrent domains are stored in
+    timestamp order, which {!Report.validate} requires. *)
+
 val close : t -> unit
 (** Flushes, and closes the underlying channel for {!to_file} sinks. *)
 

@@ -46,23 +46,16 @@ val make_stats : unit -> stats
 type ctx
 
 val make_ctx :
-  ?allow_orient:bool ->
-  ?allow_variant:bool ->
-  ?interchanges:bool ->
+  ?refine:bool ->
   placement:Placement.t ->
   limiter:Range_limiter.t ->
   stats:stats ->
   unit ->
   ctx
-(** Stage 2 passes [~allow_orient:false ~allow_variant:false
-    ~interchanges:false]: there, new states come only from single-cell
-    displacements and pin moves, because orientation and aspect-ratio
-    changes invalidate the per-edge interconnect areas (Sec 4.3). *)
+(** [refine] (default false) selects stage 2's move set: new states come
+    only from single-cell displacements and pin moves, because orientation
+    and aspect-ratio changes invalidate the per-edge interconnect areas
+    (Sec 4.3).  Stage 1 uses every move class. *)
 
 val generate : ctx -> Twmc_sa.Rng.t -> temp:float -> unit
 (** One top-level attempt, mutating the placement in place. *)
-
-val attempt_pin_move : ctx -> Twmc_sa.Rng.t -> temp:float -> cell:int -> bool
-(** One pin-group/lone-pin reassignment attempt on a custom cell; exposed
-    separately because stage 2's generate uses only displacements and pin
-    moves.  Returns true when a move was accepted. *)

@@ -5,9 +5,9 @@
     normalizes the overlap penalty so [p₂·C₂ ≈ η·C₁] at [T∞] (Eqn 9),
     scales the temperature profile by [S_T] (Eqns 19–21), and anneals with
     the Table 1 schedule until the range-limiter window reaches its minimum
-    span. *)
+    span — the shared {!Anneal_loop} with its [Stage1] stage. *)
 
-type temp_record = {
+type temp_record = Anneal_loop.temp_record = {
   temperature : float;
   cost : float;
   c1 : float;
@@ -46,7 +46,6 @@ type result = {
 val run :
   ?params:Params.t ->
   ?core:Twmc_geometry.Rect.t ->
-  ?on_temp:(temp_record -> unit) ->
   ?should_stop:(unit -> bool) ->
   ?obs:Twmc_obs.Ctx.t ->
   ?replica:int ->

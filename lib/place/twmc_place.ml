@@ -5,5 +5,5 @@ module Sites = Sites
 module Placement = Placement
 module Range_limiter = Range_limiter
 module Moves = Moves
+module Anneal_loop = Anneal_loop
 module Stage1 = Stage1
-module Quench = Quench

@@ -21,9 +21,11 @@ let flow ~params ~seed nl =
   | Some r -> r
   | None -> Alcotest.fail "flow produced no result"
 
+let full_flow = lazy (flow ~params ~seed:2 (netlist ()))
+
 let test_full_flow () =
   let nl = netlist () in
-  let r = flow ~params ~seed:2 nl in
+  let r = Lazy.force full_flow in
   (* The digest the unguarded [Flow.run] gave on this netlist and seed
      before the guarded driver became the only flow path: every caller
      that moved over gets the same placement and routing. *)
@@ -62,6 +64,26 @@ let test_full_flow () =
       (fun t -> checkb "tile inside chip" true (Rect.contains_rect r.Twmc.Flow.chip t))
       (Twmc_place.Placement.expanded_tiles p ci)
   done
+
+(* Which rule ended each refinement anneal's cooling (recorded at the
+   per-stage loops the shared driver replaced): the first two at the
+   minimum window span; the final one, whose rule is 3 frozen
+   temperatures, at the temperature floor — its cost never holds still for
+   3 temperatures on this netlist. *)
+let test_refinement_stop_rules () =
+  let r = Lazy.force full_flow in
+  let name = function
+    | Twmc_place.Anneal_loop.Min_span -> "min span"
+    | Frozen -> "frozen"
+    | T_floor -> "t floor"
+    | Interrupted -> "interrupted"
+  in
+  Alcotest.(check (list string))
+    "stop rules"
+    [ "min span"; "min span"; "t floor" ]
+    (List.map
+       (fun (it : Twmc.Stage2.iteration) -> name it.Twmc.Stage2.anneal_stop)
+       r.Twmc.Flow.stage2.Twmc.Stage2.iterations)
 
 let test_flow_determinism () =
   let nl = netlist () in
@@ -139,6 +161,8 @@ let () =
   Alcotest.run "flow"
     [ ( "flow",
         [ Alcotest.test_case "full flow" `Slow test_full_flow;
+          Alcotest.test_case "refinement stop rules" `Slow
+            test_refinement_stop_rules;
           Alcotest.test_case "determinism" `Slow test_flow_determinism;
           Alcotest.test_case "required expansions" `Slow test_required_expansions;
           Alcotest.test_case "stage2 convergence" `Slow test_stage2_converges;

@@ -76,8 +76,7 @@ let differential_run seed =
   let static_ctx =
     (* Stage-2 style context, built lazily after the expander switch. *)
     lazy
-      (Moves.make_ctx ~allow_orient:false ~allow_variant:false
-         ~interchanges:false ~placement:p ~limiter
+      (Moves.make_ctx ~refine:true ~placement:p ~limiter
          ~stats:(Moves.make_stats ()) ())
   in
   let batches = 10 and batch = 50 in
@@ -172,8 +171,7 @@ let differential_constrained_run seed =
   in
   let static_ctx =
     lazy
-      (Moves.make_ctx ~allow_orient:false ~allow_variant:false
-         ~interchanges:false ~placement:p ~limiter
+      (Moves.make_ctx ~refine:true ~placement:p ~limiter
          ~stats:(Moves.make_stats ()) ())
   in
   let batches = 10 and batch = 50 in

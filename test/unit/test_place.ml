@@ -1,5 +1,5 @@
 (* Tests for the placement state, cost function, range limiter, move
-   generator and stage-1 driver. *)
+   generator, annealing loop and stage-1 driver. *)
 
 open Twmc_place
 open Twmc_netlist
@@ -410,8 +410,7 @@ let test_moves_stage2_restrictions () =
   in
   let stats = Moves.make_stats () in
   let ctx =
-    Moves.make_ctx ~allow_orient:false ~allow_variant:false ~interchanges:false
-      ~placement:p ~limiter:lim ~stats ()
+    Moves.make_ctx ~refine:true ~placement:p ~limiter:lim ~stats ()
   in
   let rng = Rng.create ~seed:7 in
   for _ = 1 to 2000 do
@@ -607,13 +606,40 @@ let test_fig2_aspect_rescue () =
   ignore snap;
   Placement.verify_consistency p
 
-(* -------------------------------------------------------------- Quench *)
+(* --------------------------------------------------------- Anneal loop *)
 
+(* A [should_stop] that fires once, on its third poll: the first inner loop
+   (480 moves) ends after 384, the anneal returns with consistent caches
+   and flags the interruption itself — [Stage1.run]'s own final poll sees
+   false. *)
+let test_interrupt_mid_inner_loop () =
+  let nl = mixed_netlist () in
+  let params = { Params.default with Params.a_c = 60 } in
+  let polls = ref 0 in
+  let should_stop () =
+    incr polls;
+    !polls = 3
+  in
+  let r = Stage1.run ~params ~should_stop ~rng:(Rng.create ~seed:8) nl in
+  checkb "interrupted" true r.Stage1.interrupted;
+  check "stopped on the third poll" (3 * 128)
+    r.Stage1.move_stats.Moves.attempts;
+  check "one temperature" 1 r.Stage1.temperatures_visited;
+  check "one trace record" 1 (List.length r.Stage1.trace);
+  Placement.verify_consistency r.Stage1.placement
+
+(* Cells piled at the origin, annealed at a temperature whose window is
+   already at its minimum span: one inner loop, then the quench tail must
+   clear the overlap. *)
 let test_quench_removes_overlap () =
   let nl = mixed_netlist () in
   let exps = Array.make (Netlist.n_cells nl) (2, 2, 2, 2) in
-  let p = make_placement ~expander:(Placement.Static exps) nl in
-  (* Pile everything at the origin. *)
+  (* 400 moves per inner loop on the 8 cells. *)
+  let params = { Params.default with Params.a_c = 50 } in
+  let p =
+    Placement.create ~params ~core:core100 ~expander:(Placement.Static exps)
+      ~rng:(Rng.create ~seed:3) nl
+  in
   for ci = 0 to Netlist.n_cells nl - 1 do
     Placement.set_cell p ci ~x:0 ~y:0 ()
   done;
@@ -623,14 +649,21 @@ let test_quench_removes_overlap () =
     Range_limiter.create ~rho:4.0 ~t_inf:1e5 ~wx_inf:800.0 ~wy_inf:800.0
       ~min_window:6
   in
-  let stats = Moves.make_stats () in
-  let loops =
-    Quench.run
+  let o =
+    Anneal_loop.run
       ~rng:(Rng.create ~seed:13)
-      ~placement:p ~stats ~limiter:lim ~moves_per_loop:400 ~t_start:5.0 ()
+      ~limiter:lim
+      ~schedule:(Twmc_sa.Schedule.geometric ~alpha:0.9)
+      ~t_start:5.0 ~t_floor:1e-9
+      (Anneal_loop.Stage1 { replica = None })
+      p
   in
-  checkb "ran some loops" true (loops > 0);
-  checkb "overlap mostly gone" true (Placement.c2_raw p < 0.05 *. before)
+  checkb "stopped at the minimum span" true
+    (o.Anneal_loop.stop = Anneal_loop.Min_span);
+  check "one cooling temperature" 1 (List.length o.Anneal_loop.trace);
+  checkb "quench ran some loops" true (o.Anneal_loop.temperatures > 1);
+  checkb "overlap mostly gone" true (Placement.c2_raw p < 0.05 *. before);
+  Placement.verify_consistency p
 
 let () =
   let qt = List.map (QCheck_alcotest.to_alcotest ~long:false) in
@@ -664,4 +697,7 @@ let () =
         [ Alcotest.test_case "small run" `Quick test_stage1_small;
           Alcotest.test_case "deterministic" `Quick test_stage1_deterministic;
           Alcotest.test_case "beats random" `Quick test_stage1_improves_over_random ] );
+      ( "anneal loop",
+        [ Alcotest.test_case "interrupt mid inner loop" `Quick
+            test_interrupt_mid_inner_loop ] );
       ("quench", [ Alcotest.test_case "removes overlap" `Quick test_quench_removes_overlap ]) ]
