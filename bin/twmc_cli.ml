@@ -3,8 +3,7 @@
 open Cmdliner
 
 (* Exit codes: 0 clean, 3 degraded result, 4 invalid input, 5 budget
-   expired, 6 QA failure, 7 perf regression (1/2/124/125 belong to
-   cmdliner). *)
+   expired, 6 QA failure (1/2/124/125 belong to cmdliner). *)
 let exit_invalid = 4
 
 let exit_of_status = function
@@ -518,10 +517,6 @@ let draw_cmd =
 
 (* ------------------------------------------------------------- report *)
 
-(* Exit code 7: [report compare] found a kernel slower than its budget —
-   distinct from 4 (unreadable or invalid input). *)
-let exit_regress = 7
-
 (* Load + validate a trace, or die with 4; shared by summary and health. *)
 let load_trace file =
   match Twmc_obs.Report.load file with
@@ -581,46 +576,6 @@ let report_health_cmd =
           them is off-profile.  Exits 0 when the trace is valid (findings \
           are advisory), 4 otherwise.")
     Term.(const run $ json $ trace_file_arg)
-
-let report_compare_cmd =
-  let old_file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD.json")
-  in
-  let new_file =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW.json")
-  in
-  let max_regress =
-    Arg.(
-      value & opt float 25.0
-      & info [ "max-regress" ] ~docv:"PCT"
-          ~doc:
-            "Regression budget: a kernel more than $(docv) percent slower \
-             than the old snapshot fails the gate (default 25).")
-  in
-  let run max_regress old_file new_file =
-    let load p =
-      match Twmc_obs.Report.load_bench p with
-      | kernels -> kernels
-      | exception Failure m ->
-          Printf.eprintf "%s\n" m;
-          exit exit_invalid
-    in
-    let c =
-      Twmc_obs.Report.compare_benches ~max_regress_pct:max_regress
-        (load old_file) (load new_file)
-    in
-    Format.printf "%a@." Twmc_obs.Report.pp_bench_comparison c;
-    exit (if c.Twmc_obs.Report.regressions = [] then 0 else exit_regress)
-  in
-  Cmd.v
-    (Cmd.info "compare"
-       ~doc:
-         "Compare two bench-kernel snapshots (the \
-          $(b,{\"kernels\":[...]}) JSON written by \
-          $(b,bench/main.exe -- micro --json)) and gate on slowdowns.  \
-          Exits 0 inside the budget, 7 when any kernel regressed by more \
-          than $(b,--max-regress) percent, 4 on unreadable input.")
-    Term.(const run $ max_regress $ old_file $ new_file)
 
 let report_tail_cmd =
   let file =
@@ -712,15 +667,13 @@ let report_cmd =
     ~default:report_summary_term
     (Cmd.info "report"
        ~doc:
-         "Trace and bench analytics.  With just a FILE.jsonl, validate the \
-          --trace file (schema, balanced spans, monotonic timestamps) and \
+         "Trace analytics.  With just a FILE.jsonl, validate the --trace \
+          file (schema, balanced spans, monotonic timestamps) and \
           summarize it: per-stage wall time, slowest spans, the stage-1 \
           acceptance curve and the router overflow trend (exit 0 when \
           valid, 4 otherwise).  Subcommands: $(b,health) for anneal-health \
-          diagnostics, $(b,compare) for the bench-regression gate, \
-          $(b,tail) to watch a live run.")
-    [ report_summary_cmd; report_health_cmd; report_compare_cmd;
-      report_tail_cmd ]
+          diagnostics, $(b,tail) to watch a live run.")
+    [ report_summary_cmd; report_health_cmd; report_tail_cmd ]
 
 (* --------------------------------------------------------- experiment *)
 

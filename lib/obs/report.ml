@@ -307,100 +307,6 @@ let validate events =
     open_spans;
   List.rev !problems
 
-(* ----------------------------------------------------- bench comparison *)
-
-(* The bench harness writes {"kernels": [{"name": ..., "ns_per_op": ...}]}
-   (see bench/main.ml).  [compare_benches] intersects two such files by
-   kernel name; kernels present on only one side are reported but never
-   gate — machines differ in which wall-clock kernels they run. *)
-
-let load_bench path =
-  let text =
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let j =
-    match parse_json text with
-    | j -> j
-    | exception Failure m -> failwith (Printf.sprintf "%s: %s" path m)
-  in
-  match field j "kernels" with
-  | Some (List ks) ->
-      List.map
-        (fun k ->
-          match (field k "name", field k "ns_per_op") with
-          | Some (Str name), Some (Num ns) -> (name, ns)
-          | _ ->
-              failwith
-                (Printf.sprintf
-                   "%s: kernel entry without name/ns_per_op fields" path))
-        ks
-  | _ -> failwith (Printf.sprintf "%s: no \"kernels\" array" path)
-
-type bench_row = {
-  kernel : string;
-  old_ns : float;
-  new_ns : float;
-  delta_pct : float;
-}
-
-type bench_comparison = {
-  rows : bench_row list;  (* Kernels present on both sides, in old order. *)
-  regressions : bench_row list;  (* Rows slower by more than the budget. *)
-  only_old : string list;
-  only_new : string list;
-}
-
-let compare_benches ~max_regress_pct old_b new_b =
-  let rows =
-    List.filter_map
-      (fun (kernel, old_ns) ->
-        match List.assoc_opt kernel new_b with
-        | Some new_ns when old_ns > 0.0 ->
-            Some
-              { kernel;
-                old_ns;
-                new_ns;
-                delta_pct = 100.0 *. (new_ns -. old_ns) /. old_ns }
-        | _ -> None)
-      old_b
-  in
-  { rows;
-    regressions = List.filter (fun r -> r.delta_pct > max_regress_pct) rows;
-    only_old =
-      List.filter_map
-        (fun (k, _) ->
-          if List.mem_assoc k new_b then None else Some k)
-        old_b;
-    only_new =
-      List.filter_map
-        (fun (k, _) ->
-          if List.mem_assoc k old_b then None else Some k)
-        new_b }
-
-let pp_bench_comparison ppf c =
-  Format.fprintf ppf "@[<v>%-52s %12s %12s %9s@," "kernel" "old ns/op"
-    "new ns/op" "delta";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%-52s %12.1f %12.1f %+8.1f%%%s@," r.kernel r.old_ns
-        r.new_ns r.delta_pct
-        (if List.memq r c.regressions then "  REGRESSION" else ""))
-    c.rows;
-  List.iter
-    (fun k -> Format.fprintf ppf "%-52s (only in old file)@," k)
-    c.only_old;
-  List.iter
-    (fun k -> Format.fprintf ppf "%-52s (only in new file)@," k)
-    c.only_new;
-  (match c.regressions with
-  | [] -> Format.fprintf ppf "no regressions over budget@,"
-  | rs -> Format.fprintf ppf "%d kernel(s) over the regression budget@,"
-            (List.length rs));
-  Format.fprintf ppf "@]"
-
 (* -------------------------------------------------------------- summary *)
 
 let pp_duration ppf ns =

@@ -1,5 +1,7 @@
 (** Reading side of the trace schema: load a JSONL trace file, validate it,
-    and render a human-readable run summary ([twmc report]). *)
+    and render a human-readable run summary ([twmc report]).  {!Health}
+    and {!Progress} build on the same events ([twmc report health],
+    [twmc report tail]). *)
 
 type json =
   | Null
@@ -53,39 +55,3 @@ val pp_summary : Format.formatter -> event list -> unit
 (** Per-stage wall time, top-5 slowest spans, the stage-1 acceptance curve
     (winning replica when identifiable) and the router overflow trend. *)
 
-(** {2 Bench-kernel comparison}
-
-    Reads the [{"kernels": [{"name", "ns_per_op"}]}] JSON the bench harness
-    writes ([bench/main.exe -- micro --json]) and compares two snapshots,
-    the backing for [twmc report compare] and the CI perf-regression
-    gate. *)
-
-val load_bench : string -> (string * float) list
-(** Kernel name → ns/op, in file order; raises [Failure] with the path and
-    reason on malformed input. *)
-
-type bench_row = {
-  kernel : string;
-  old_ns : float;
-  new_ns : float;
-  delta_pct : float;  (** [100 · (new − old) / old]; positive = slower. *)
-}
-
-type bench_comparison = {
-  rows : bench_row list;  (** Kernels present on both sides, in old order. *)
-  regressions : bench_row list;
-      (** Rows with [delta_pct > max_regress_pct]. *)
-  only_old : string list;
-  only_new : string list;
-}
-
-val compare_benches :
-  max_regress_pct:float ->
-  (string * float) list ->
-  (string * float) list ->
-  bench_comparison
-(** [compare_benches ~max_regress_pct old new] intersects by kernel name;
-    kernels present on only one side are listed but never counted as
-    regressions. *)
-
-val pp_bench_comparison : Format.formatter -> bench_comparison -> unit

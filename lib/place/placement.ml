@@ -394,17 +394,15 @@ let cell_overlap t ci =
   done;
   float_of_int !total
 
-(* The pre-index full scan, kept as the benchmark and differential-test
-   reference. *)
-let cell_overlap_scan t ci =
-  let cs = t.cells.(ci) in
-  let total = ref (boundary_overlap t.core cs.exp_tiles 0) in
-  Array.iteri
-    (fun cj other ->
-      if cj <> ci && Rect.overlaps cs.bbox other.bbox then
-        total := tiles_overlap cs.exp_tiles other.exp_tiles !total)
-    t.cells;
-  float_of_int !total
+(* The neighbors [cell_overlap] visits for cell [ci]: the index's
+   candidates for its bbox, [ci] itself excluded. *)
+let overlap_candidates t ci =
+  let n = Spatial.query_into t.idx t.cells.(ci).bbox t.cand in
+  let others = ref 0 in
+  for i = 0 to n - 1 do
+    if t.cand.(i) <> ci then incr others
+  done;
+  !others
 
 (* Site occupancy of cell [ci] under [variant]/[sites], written into the
    first [n_sites] entries of [occ]. *)
@@ -813,7 +811,7 @@ type move =
    accumulator chains in the same order on the same operands — without
    mutating the placement.  Keeping the delta bit-identical keeps the
    Metropolis RNG consumption, and therefore whole trajectories, identical
-   to the mutate-and-restore path it replaced.  Everything below runs on
+   to applying and measuring each trial.  Everything below runs on
    preallocated scratch: no closures, options or tuples per trial. *)
 
 let[@inline] is_pending t ci = t.pend_stamp.(ci) = t.sim_stamp
@@ -1025,39 +1023,7 @@ let apply_move t = function
   | Sites_move { ci; sites } -> set_cell_sites t ci sites
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots                                                           *)
-
-type net_state = {
-  ns_net : int;
-  ns_c1 : float;
-  ns_len : float;
-  ns_minx : int;
-  ns_maxx : int;
-  ns_miny : int;
-  ns_maxy : int;
-  ns_cminx : int;
-  ns_cmaxx : int;
-  ns_cminy : int;
-  ns_cmaxy : int;
-}
-
-type cell_snapshot = {
-  s_idx : int;
-  s_x : int;
-  s_y : int;
-  s_orient : Orient.t;
-  s_variant : int;
-  s_sites : int array;
-  s_abs : Rect.t list;
-  s_exp : Rect.t list;
-  s_px : int array;
-  s_py : int array;
-  s_bbox : Rect.t;
-  s_occ : int array;
-  s_c3 : float;
-  s_nets : net_state array;
-  s_cons : (int * float) array;
-}
+(* Cost snapshots                                                      *)
 
 type cost_snapshot = {
   g_c1 : float;
@@ -1076,69 +1042,6 @@ let restore_cost t s =
   t.cost.c3 <- s.g_c3;
   t.cost.c4 <- s.g_c4;
   t.cost.teil <- s.g_teil
-
-let snapshot_cell t ci =
-  let cs = t.cells.(ci) in
-  { s_idx = ci;
-    s_x = cs.x;
-    s_y = cs.y;
-    s_orient = cs.orient;
-    s_variant = cs.variant;
-    s_sites = Array.copy cs.sites;
-    s_abs = cs.abs_tiles;
-    s_exp = cs.exp_tiles;
-    s_px = Array.copy cs.pin_x;
-    s_py = Array.copy cs.pin_y;
-    s_bbox = cs.bbox;
-    s_occ = Array.copy cs.occ;
-    s_c3 = t.cell_c3.(ci);
-    s_nets =
-      Array.map
-        (fun n ->
-          { ns_net = n;
-            ns_c1 = t.net_c1.(n);
-            ns_len = t.net_len.(n);
-            ns_minx = t.net_minx.(n);
-            ns_maxx = t.net_maxx.(n);
-            ns_miny = t.net_miny.(n);
-            ns_maxy = t.net_maxy.(n);
-            ns_cminx = t.net_cminx.(n);
-            ns_cmaxx = t.net_cmaxx.(n);
-            ns_cminy = t.net_cminy.(n);
-            ns_cmaxy = t.net_cmaxy.(n) })
-        t.cell_nets.(ci);
-    s_cons = Array.map (fun k -> (k, t.cpen.(k))) t.cons_of_cell.(ci) }
-
-let restore_cell t s =
-  let cs = t.cells.(s.s_idx) in
-  cs.x <- s.s_x;
-  cs.y <- s.s_y;
-  cs.orient <- s.s_orient;
-  cs.variant <- s.s_variant;
-  Array.blit s.s_sites 0 cs.sites 0 (Array.length cs.sites);
-  cs.abs_tiles <- s.s_abs;
-  cs.exp_tiles <- s.s_exp;
-  Array.blit s.s_px 0 cs.pin_x 0 (Array.length cs.pin_x);
-  Array.blit s.s_py 0 cs.pin_y 0 (Array.length cs.pin_y);
-  cs.bbox <- s.s_bbox;
-  Array.blit s.s_occ 0 cs.occ 0 (Array.length cs.occ);
-  Spatial.update t.idx s.s_idx s.s_bbox;
-  t.cell_c3.(s.s_idx) <- s.s_c3;
-  Array.iter
-    (fun ns ->
-      let n = ns.ns_net in
-      t.net_c1.(n) <- ns.ns_c1;
-      t.net_len.(n) <- ns.ns_len;
-      t.net_minx.(n) <- ns.ns_minx;
-      t.net_maxx.(n) <- ns.ns_maxx;
-      t.net_miny.(n) <- ns.ns_miny;
-      t.net_maxy.(n) <- ns.ns_maxy;
-      t.net_cminx.(n) <- ns.ns_cminx;
-      t.net_cmaxx.(n) <- ns.ns_cmaxx;
-      t.net_cminy.(n) <- ns.ns_cminy;
-      t.net_cmaxy.(n) <- ns.ns_cmaxy)
-    s.s_nets;
-  Array.iter (fun (k, pen) -> t.cpen.(k) <- pen) s.s_cons
 
 (* ------------------------------------------------------------------ *)
 (* Verification                                                        *)

@@ -122,10 +122,10 @@ val cell_overlap : t -> int -> float
 (** This cell's expanded-tile overlap against all others and the core
     boundary, enumerated through the spatial index (O(local density)). *)
 
-val cell_overlap_scan : t -> int -> float
-(** Same total as {!cell_overlap} via the pre-index full scan over all
-    cells; reference implementation for benchmarks and differential
-    tests. *)
+val overlap_candidates : t -> int -> int
+(** How many other cells {!cell_overlap} visits for this cell: the spatial
+    index's candidates for its expanded bounding box.  A full scan would
+    visit every other cell. *)
 
 val chip_bbox : t -> Twmc_geometry.Rect.t
 (** Bounding box of all expanded tiles — the effective chip extent. *)
@@ -166,25 +166,21 @@ val delta_cost : t -> move list -> float
 (** Cost change of applying the moves in order, without mutating anything.
     Bit-identical to applying them and differencing {!total_cost} — the
     same accumulator chains run in the same order on the same operands —
-    so Metropolis decisions (and RNG consumption) are unchanged versus the
-    mutate-and-restore trial this enables replacing.  Runs on scratch
-    preallocated in [t]: no closures, options, tuples or arrays per call;
-    only a geometric move allocates, for its candidate tile lists. *)
+    so Metropolis decisions (and RNG consumption) are the same as if the
+    trial were applied and measured.  Runs on scratch preallocated in [t]:
+    no closures, options, tuples or arrays per call; only a geometric move
+    allocates, for its candidate tile lists. *)
 
 val apply_move : t -> move -> unit
 (** Commits one move through {!set_cell}/{!set_cell_sites}. *)
 
-(** {2 Trial support} *)
+(** {2 Cost snapshots} *)
 
-type cell_snapshot
 type cost_snapshot
 
 val snapshot_cost : t -> cost_snapshot
 val restore_cost : t -> cost_snapshot -> unit
-val snapshot_cell : t -> int -> cell_snapshot
-val restore_cell : t -> cell_snapshot -> unit
-(** Restoring a cell puts back its state fields, caches, occupancy and the
-    cached contributions of its nets; globals are restored separately via
-    {!restore_cost}. *)
+(** Saves and puts back the global cost accumulators (C1/C2/C3/C4/TEIL)
+    only; per-cell state and caches are untouched. *)
 
 val pp_summary : Format.formatter -> t -> unit

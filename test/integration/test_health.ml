@@ -314,49 +314,6 @@ let test_clean_run_no_dump () =
       checkb "run clean" true (rr.Twmc.Flow.status = Twmc.Flow.Clean);
       checkb "no dump on clean exit" false (Sys.file_exists path))
 
-(* ----------------------------------------------------- bench comparison *)
-
-let test_compare_benches () =
-  let old_b = [ ("k1", 100.0); ("k2", 100.0); ("gone", 1.0) ] in
-  let new_b = [ ("k1", 131.0); ("k2", 125.0); ("fresh", 1.0) ] in
-  let c = Report.compare_benches ~max_regress_pct:25.0 old_b new_b in
-  check "rows intersect" 2 (List.length c.Report.rows);
-  Alcotest.(check (list string)) "only old" [ "gone" ] c.Report.only_old;
-  Alcotest.(check (list string)) "only new" [ "fresh" ] c.Report.only_new;
-  (match c.Report.regressions with
-  | [ r ] ->
-      checks "k1 regressed" "k1" r.Report.kernel;
-      Alcotest.(check (float 1e-9)) "delta pct" 31.0 r.Report.delta_pct
-  | rs -> Alcotest.failf "expected 1 regression, got %d" (List.length rs));
-  (* Exactly at the budget is NOT a regression (strict >): a self-compare
-     of a committed baseline must always pass. *)
-  let at = Report.compare_benches ~max_regress_pct:25.0 old_b
-      [ ("k1", 125.0); ("k2", 125.0) ] in
-  check "boundary not a regression" 0 (List.length at.Report.regressions);
-  let self = Report.compare_benches ~max_regress_pct:25.0 old_b old_b in
-  check "self-compare clean" 0 (List.length self.Report.regressions);
-  Alcotest.(check (float 0.0)) "self delta 0" 0.0
-    (List.fold_left (fun acc r -> acc +. abs_float r.Report.delta_pct) 0.0
-       self.Report.rows)
-
-let test_load_bench () =
-  with_temp_file (fun path ->
-      write_file path
-        "{\"kernels\": [{\"name\": \"a\", \"ns_per_op\": 12.5},\n\
-        \ {\"name\": \"b\", \"ns_per_op\": 7}]}\n";
-      (match Report.load_bench path with
-      | [ ("a", a); ("b", b) ] ->
-          Alcotest.(check (float 0.0)) "a ns" 12.5 a;
-          Alcotest.(check (float 0.0)) "b ns" 7.0 b
-      | _ -> Alcotest.fail "two kernels expected");
-      write_file path "{\"nope\": 1}";
-      checkb "malformed raises with path" true
-        (match Report.load_bench path with
-        | _ -> false
-        | exception Failure m ->
-            String.length m > String.length path
-            && String.sub m 0 (String.length path) = path))
-
 (* ------------------------------------------------------------ progress *)
 
 let test_progress_fold () =
@@ -516,9 +473,6 @@ let () =
             test_abort_leaves_flight_dump;
           Alcotest.test_case "clean run leaves no dump" `Quick
             test_clean_run_no_dump ] );
-      ( "bench",
-        [ Alcotest.test_case "compare" `Quick test_compare_benches;
-          Alcotest.test_case "load" `Quick test_load_bench ] );
       ( "progress",
         [ Alcotest.test_case "fold" `Quick test_progress_fold ] );
       ( "health",

@@ -240,6 +240,24 @@ let test_per_move_terms () =
     checkb (Printf.sprintf "move %d TEIL" i) true (close teil (Placement.teil p))
   done
 
+(* The oracle for [Placement.cell_overlap]: every other cell's expanded
+   tiles against this cell's, plus the area outside the core (the
+   boundary dummies), with no index and no bbox filter. *)
+let scan_overlap p ci =
+  let mine = Placement.expanded_tiles p ci and core = Placement.core p in
+  let against tiles acc =
+    List.fold_left
+      (fun acc a ->
+        List.fold_left (fun acc b -> acc + Rect.inter_area a b) acc tiles)
+      acc mine
+  in
+  let total = ref 0 in
+  List.iter (fun r -> total := !total + Rect.area r - Rect.inter_area r core) mine;
+  for cj = 0 to Twmc_netlist.Netlist.n_cells (Placement.netlist p) - 1 do
+    if cj <> ci then total := against (Placement.expanded_tiles p cj) !total
+  done;
+  float_of_int !total
+
 (* Satellite: the spatially-indexed overlap enumeration vs the full scan.
    Both sum exact integer areas, so agreement must be exact equality, not
    within-tolerance; and the embedded index must answer queries identically
@@ -273,7 +291,7 @@ let index_vs_scan_run seed =
   let check_point what =
     for ci = 0 to n - 1 do
       let a = Placement.cell_overlap p ci
-      and b = Placement.cell_overlap_scan p ci in
+      and b = scan_overlap p ci in
       if a <> b then
         Alcotest.failf "%s: cell %d overlap indexed=%.17g scan=%.17g" what ci
           a b
@@ -299,6 +317,68 @@ let index_vs_scan_run seed =
   check_point (Printf.sprintf "seed %d final" seed)
 
 let test_index_vs_scan () = List.iter index_vs_scan_run [ 11; 22; 33 ]
+
+(* The index's work, counted: on a 220-cell circuit (500 nets, 1,600 pins,
+   core sized for 60% fill) the candidates [cell_overlap] visits, summed
+   over every cell, must be at least 10x fewer than the n*(n-1) pairs a
+   full scan visits, both from the random start and after 2,000 generate
+   calls; and every cell's indexed overlap equals the scan oracle.  A
+   count, not a timing: it is deterministic and hard-fails. *)
+let test_index_candidate_count () =
+  let nl =
+    Synth.generate ~seed:21
+      { Synth.default_spec with
+        Synth.name = "scene220";
+        n_cells = 220;
+        n_nets = 500;
+        n_pins = 1600;
+        frac_custom = 0.3 }
+  in
+  let sizing =
+    Twmc_estimator.Core_area.determine ~beta:Params.default.Params.beta
+      ~aspect:1.0 ~fill_target:0.6 nl
+  in
+  let core =
+    centered_core ~w:sizing.Twmc_estimator.Core_area.core_w
+      ~h:sizing.Twmc_estimator.Core_area.core_h
+  in
+  let est =
+    Twmc_estimator.Dynamic_area.create ~core_w:(Rect.width core)
+      ~core_h:(Rect.height core) nl
+  in
+  let p =
+    Placement.create ~params:Params.default ~core
+      ~expander:(Placement.Dynamic est) ~rng:(Rng.create ~seed:22) nl
+  in
+  Placement.set_p2 p 0.5;
+  let n = Twmc_netlist.Netlist.n_cells nl in
+  let check_point what =
+    let visited = ref 0 in
+    for ci = 0 to n - 1 do
+      visited := !visited + Placement.overlap_candidates p ci;
+      let a = Placement.cell_overlap p ci and b = scan_overlap p ci in
+      if a <> b then
+        Alcotest.failf "%s: cell %d overlap indexed=%.17g scan=%.17g" what ci
+          a b
+    done;
+    let scan = n * (n - 1) in
+    Printf.printf "%s: index visits %d candidates, scan %d (%.0fx)\n" what
+      !visited scan
+      (float_of_int scan /. float_of_int (max 1 !visited));
+    if 10 * !visited > scan then
+      Alcotest.failf "%s: index visits %d candidates, over 1/10 of the scan's %d"
+        what !visited scan
+  in
+  check_point "initial";
+  let limiter = Range_limiter.of_core ~rho:4.0 ~t_inf:1e4 ~core ~min_window:6 in
+  let ctx =
+    Moves.make_ctx ~placement:p ~limiter ~stats:(Moves.make_stats ()) ()
+  in
+  let rng = Rng.create ~seed:23 in
+  for _ = 1 to 2_000 do
+    Moves.generate ctx rng ~temp:1e3
+  done;
+  check_point "after 2,000 generates"
 
 (* Satellite: [Placement.delta_cost] must equal apply-and-difference
    bit-for-bit (same accumulator chains on the same operands), over every
@@ -547,4 +627,6 @@ let () =
           Alcotest.test_case "500 moves, 3 constrained netlists" `Quick
             test_differential_constrained;
           Alcotest.test_case "constrained delta_cost vs apply" `Quick
-            test_delta_vs_apply_constrained ] ) ]
+            test_delta_vs_apply_constrained;
+          Alcotest.test_case "index candidate count, 220 cells" `Quick
+            test_index_candidate_count ] ) ]

@@ -186,6 +186,53 @@ let test_disabled_no_alloc () =
         true
         (w1 -. w0 < 64.0))
 
+(* What tracing costs the anneal, counted in minor-heap words: the same
+   jobs=1 stage-1 anneal with the context disabled and with a memory sink
+   plus metrics must give the identical placement, and the traced run may
+   allocate at most [traced_words_budget] more words per temperature
+   record.  [Moves.generate] takes no obs context, so tracing cannot change
+   the words per generate: all the extra is per temperature (the
+   ["stage1.temp"] point and the series samples) or per anneal.
+   Allocation at jobs=1 is deterministic, so this hard-fails. *)
+
+(* The extra words per temperature, measured in the default (dev) build:
+   13,051 over the anneal's 73 temperatures (36,120,404 untraced against
+   36,133,455 traced), 178.8 each.  The budget is that count plus 25%. *)
+let traced_words_budget = 1.25 *. (13_051.0 /. 73.0)
+
+let test_traced_alloc_per_temp () =
+  let nl =
+    Synth.generate ~seed:5
+      { Synth.default_spec with
+        Synth.n_cells = 12;
+        n_nets = 40;
+        n_pins = 140 }
+  in
+  let params = { Twmc_place.Params.default with Twmc_place.Params.a_c = 40 } in
+  let anneal obs =
+    let w0 = Gc.minor_words () in
+    let r = Stage1.run ~params ~obs ~rng:(Twmc_sa.Rng.create ~seed:9) nl in
+    (r, Gc.minor_words () -. w0)
+  in
+  (* Warm up so one-time allocation stays out of both measurements. *)
+  ignore (anneal Obs.disabled);
+  let plain, plain_words = anneal Obs.disabled in
+  let traced, traced_words =
+    anneal (Obs.create ~sink:(Sink.memory ()) ~metrics:(Metrics.create ()) ())
+  in
+  checks "placement fingerprint"
+    (Twmc_qa.Fingerprint.placement plain.Stage1.placement)
+    (Twmc_qa.Fingerprint.placement traced.Stage1.placement);
+  let temps = List.length traced.Stage1.trace in
+  let per_temp = (traced_words -. plain_words) /. float_of_int temps in
+  Printf.printf
+    "stage-1 minor words: %.0f untraced, %.0f traced; %d temperatures, %.1f \
+     extra words each\n"
+    plain_words traced_words temps per_temp;
+  if per_temp > traced_words_budget then
+    Alcotest.failf "tracing allocates %.1f words per temperature, budget %.1f"
+      per_temp traced_words_budget
+
 (* ----------------------------------------------- bit-identity contract *)
 
 let small_nl =
@@ -383,7 +430,9 @@ let () =
           Alcotest.test_case "jsonl round trip" `Quick test_jsonl_round_trip ] );
       ( "overhead",
         [ Alcotest.test_case "disabled path allocates nothing" `Quick
-            test_disabled_no_alloc ] );
+            test_disabled_no_alloc;
+          Alcotest.test_case "traced stage-1 words per temperature" `Quick
+            test_traced_alloc_per_temp ] );
       ( "determinism",
         [ Alcotest.test_case "bit identity on/off x jobs" `Quick
             test_bit_identity;

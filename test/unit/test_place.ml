@@ -99,23 +99,32 @@ let test_placement_expander () =
   | _ -> Alcotest.fail "one tile expected");
   Placement.verify_consistency p
 
-let test_placement_snapshots () =
+(* A trial on two cells through [delta_cost]: nothing moves while it is
+   evaluated, and applying the same moves changes the cost by exactly the
+   delta. *)
+let test_placement_delta_no_mutation () =
   let nl = mixed_netlist () in
   let p = make_placement nl in
   let rng = Rng.create ~seed:4 in
   let cost0 = Placement.total_cost p in
-  let snapc = Placement.snapshot_cost p in
-  let snap0 = Placement.snapshot_cell p 0 in
-  let snap1 = Placement.snapshot_cell p 1 in
-  (* Random mutations on cells 0 and 1. *)
-  Placement.set_cell p 0 ~x:(Rng.int_incl rng (-50) 50) ~y:7
-    ~orient:Orient.R90 ();
-  Placement.set_cell p 1 ~x:(-30) ~y:(Rng.int_incl rng (-50) 50) ();
-  checkb "cost changed" true (Placement.total_cost p <> cost0);
-  Placement.restore_cell p snap1;
-  Placement.restore_cell p snap0;
-  Placement.restore_cost p snapc;
-  checkf 1e-9 "cost restored" cost0 (Placement.total_cost p);
+  let pos0 = Placement.cell_pos p 0 and pos1 = Placement.cell_pos p 1 in
+  let moves =
+    [ Placement.Cell_move
+        { ci = 0; x = Some (Rng.int_incl rng (-50) 50); y = Some 7;
+          orient = Some Orient.R90; variant = None; sites = None };
+      Placement.Cell_move
+        { ci = 1; x = Some (-30); y = Some (Rng.int_incl rng (-50) 50);
+          orient = None; variant = None; sites = None } ]
+  in
+  let delta = Placement.delta_cost p moves in
+  checkb "cost would change" true (delta <> 0.0);
+  checkb "cost untouched" true (Placement.total_cost p = cost0);
+  checkb "cells untouched" true
+    (Placement.cell_pos p 0 = pos0 && Placement.cell_pos p 1 = pos1);
+  Placement.verify_consistency p;
+  List.iter (Placement.apply_move p) moves;
+  checkb "apply moves by the delta" true
+    (Placement.total_cost p -. cost0 = delta);
   Placement.verify_consistency p
 
 let test_placement_sites_fastpath () =
@@ -586,24 +595,24 @@ let test_fig2_aspect_rescue () =
   in
   let stats = Moves.make_stats () in
   let _ctx = Moves.make_ctx ~placement:p ~limiter:lim ~stats () in
-  (* Drive the ladder directly through set_cell trials mirroring
+  (* Drive the ladder directly through delta_cost trials mirroring
      Moves.attempt_displacement/_inverted at T=0. *)
   let cost0 = Placement.total_cost p in
-  let snapc = Placement.snapshot_cost p in
-  let snap = Placement.snapshot_cell p 2 in
-  Placement.set_cell p 2 ~x:0 ~y:0 ();
-  let upright_delta = Placement.total_cost p -. cost0 in
-  Placement.restore_cell p snap;
-  Placement.restore_cost p snapc;
+  let move orient =
+    Placement.Cell_move
+      { ci = 2; x = Some 0; y = Some 0; orient; variant = None; sites = None }
+  in
+  let upright_delta = Placement.delta_cost p [ move None ] in
   checkb "upright move rejected (overlaps walls)" true (upright_delta > 0.0);
-  let snap = Placement.snapshot_cell p 2 in
-  Placement.set_cell p 2 ~x:0 ~y:0
-    ~orient:(Orient.aspect_inversion_of (Placement.cell_orient p 2))
-    ();
-  let inverted_delta = Placement.total_cost p -. cost0 in
+  let inverted =
+    move (Some (Orient.aspect_inversion_of (Placement.cell_orient p 2)))
+  in
+  let inverted_delta = Placement.delta_cost p [ inverted ] in
   checkb "inverted move accepted" true (inverted_delta < 0.0);
+  Placement.apply_move p inverted;
+  checkb "cost moved by the delta" true
+    (Placement.total_cost p -. cost0 = inverted_delta);
   checkf 1e-9 "no overlap after rescue" 0.0 (Placement.c2_raw p);
-  ignore snap;
   Placement.verify_consistency p
 
 (* --------------------------------------------------------- Anneal loop *)
@@ -673,7 +682,8 @@ let () =
           Alcotest.test_case "overlap" `Quick test_placement_overlap;
           Alcotest.test_case "orientation" `Quick test_placement_orientation;
           Alcotest.test_case "expander" `Quick test_placement_expander;
-          Alcotest.test_case "snapshots" `Quick test_placement_snapshots;
+          Alcotest.test_case "delta without mutation" `Quick
+            test_placement_delta_no_mutation;
           Alcotest.test_case "site fast path" `Quick test_placement_sites_fastpath;
           Alcotest.test_case "site arrays copied" `Quick test_sites_copied ] );
       ("placement-props", qt [ prop_incremental_consistency ]);
