@@ -262,29 +262,16 @@ let place_cmd =
     let nl = read_netlist file in
     let rng = Twmc_sa.Rng.create ~seed in
     let obs, obs_finish = make_obs obs_spec in
-    let r =
-      if replicas <= 1 then Twmc_place.Stage1.run ~params ~obs ~rng nl
-      else
-        let run_k pool =
-          Twmc_place.Stage1.run_best_of_k ~params ?pool ~obs ~rng ~k:replicas
-            nl
-        in
-        let mr =
-          if jobs <= 1 then run_k None
-          else
-            Twmc_util.Domain_pool.with_pool ~jobs (fun p ->
-                if Twmc_obs.Ctx.metrics_on obs then
-                  Twmc_util.Domain_pool.set_metrics p obs.Twmc_obs.Ctx.metrics;
-                run_k (Some p))
-        in
+    let r, multi = Twmc.Flow.place ~params ~obs ~rng ~jobs ~replicas nl in
+    (match multi with
+    | None -> ()
+    | Some mr ->
         Format.printf "best-of-%d: replica %d won (costs %s)@." replicas
           mr.Twmc_place.Stage1.best_index
           (String.concat ", "
              (Array.to_list
                 (Array.map (Printf.sprintf "%.0f")
-                   mr.Twmc_place.Stage1.replica_costs)));
-        mr.Twmc_place.Stage1.best
-    in
+                   mr.Twmc_place.Stage1.replica_costs))));
     obs_finish ();
     Format.printf
       "stage 1: TEIL=%.0f C1=%.0f residual overlap=%.0f chip=%dx%d (%d \

@@ -63,7 +63,6 @@ let build ~track_spacing regions =
 
 let n_nodes t = Array.length t.regions
 let n_edges t = Array.length t.edges
-let other_end e n = if e.a = n then e.b else e.a
 let neighbours t n = t.adj.(n)
 
 let edge_between t i j =

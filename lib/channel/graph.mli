@@ -38,7 +38,6 @@ val build : track_spacing:int -> Region.t list -> t
 
 val n_nodes : t -> int
 val n_edges : t -> int
-val other_end : edge -> int -> int
 val neighbours : t -> int -> (int * int) list
 val edge_between : t -> int -> int -> edge option
 

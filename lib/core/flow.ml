@@ -113,6 +113,11 @@ let stage1_best ~params ?core ?should_stop ?pool ?(obs = Obs.disabled) ~rng
     in
     (mr.Stage1.best, Some mr)
 
+let place ~params ?(obs = Obs.disabled) ~rng ~jobs ~replicas nl =
+  (* A single replica never uses the pool, so none is spawned for it. *)
+  with_optional_pool ~jobs:(if replicas <= 1 then 1 else jobs) ~obs
+  @@ fun pool -> stage1_best ~params ?pool ~obs ~rng ~replicas nl
+
 type status = Clean | Degraded | Invalid_input | Timed_out
 
 let status_to_string = function

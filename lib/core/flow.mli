@@ -48,6 +48,21 @@ type checkpoint_cfg = {
           after stage 1. *)
 }
 
+val place :
+  params:Twmc_place.Params.t ->
+  ?obs:Twmc_obs.Ctx.t ->
+  rng:Twmc_sa.Rng.t ->
+  jobs:int ->
+  replicas:int ->
+  Twmc_netlist.Netlist.t ->
+  Twmc_place.Stage1.result * Twmc_place.Stage1.multi_result option
+(** Stage 1 alone, as [twmc place] runs it.  With [replicas > 1] it is
+    {!run_resilient}'s best-of-K multi-start: the winner (lowest cost,
+    lowest index on ties) comes back with the per-replica figures, and
+    the replicas share a pool of [jobs] domains when [jobs > 1], which
+    reports into [obs]'s metrics when they are on.  The result depends on
+    [replicas], never on [jobs]. *)
+
 val checkpoint_path : checkpoint_cfg -> Twmc_netlist.Netlist.t -> string
 (** [dir/<netlist name>.ckpt] — where {!run_resilient} writes and where
     {!resume} expects to read. *)

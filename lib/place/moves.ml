@@ -72,7 +72,7 @@ type ctx = {
   region : Rect.t option array;
   (* The per-cell proposal buffer a pin move fills, and the one-move list
      naming that buffer, built once.  Reusing the buffer is safe because
-     [Placement.set_cell_sites] copies it. *)
+     [Placement.delta_cost] copies it into its pending state. *)
   pin_sites : int array array;
   pin_moves : Placement.move list array;
 }
@@ -133,14 +133,12 @@ let violates ctx = function
           and ty = Option.value y ~default:py in
           not (Rect.contains_point r (tx, ty)))
 
-(* Metropolis-test [moves] on their evaluated cost change and commit only
-   on acceptance.  Rejected proposals — the vast majority at low
-   temperature — never mutate the placement, its net caches or the spatial
-   index.  [Placement.delta_cost] computes the same float the old
-   mutate-then-difference trial produced, so acceptance decisions and RNG
-   consumption are unchanged.  [cls] tags the trial for the per-class
-   efficacy counters (array stores only — nothing here allocates).
-   Returns acceptance. *)
+(* Metropolis-test [moves] on their simulated cost change and, on
+   acceptance, commit the state that simulation built: a trial is costed
+   once.  Rejected proposals — the vast majority at low temperature —
+   never mutate the placement, its net caches or the spatial index.
+   [cls] tags the trial for the per-class efficacy counters (array stores
+   only — nothing here allocates).  Returns acceptance. *)
 let trial ctx rng ~cls ~temp ~moves =
   let s = ctx.stats in
   s.class_attempts.(cls) <- s.class_attempts.(cls) + 1;
@@ -151,7 +149,7 @@ let trial ctx rng ~cls ~temp ~moves =
   else
   let delta = Placement.delta_cost ctx.p moves in
   if Anneal.metropolis rng ~t:temp ~delta then begin
-    List.iter (Placement.apply_move ctx.p) moves;
+    Placement.commit ctx.p;
     s.class_accepts.(cls) <- s.class_accepts.(cls) + 1;
     s.class_dcost.(cls) <- s.class_dcost.(cls) +. delta;
     true

@@ -20,9 +20,6 @@ type cell_state = {
   pin_x : int array;
   pin_y : int array;
   mutable bbox : Rect.t;
-  occ : int array;
-  (* occupancy of the current variant's sites: its first [n_sites] entries,
-     sized for the cell's largest variant *)
 }
 
 (* Simulated state of one cell touched by the moves [delta_cost] is
@@ -63,22 +60,9 @@ type t = {
   cells : cell_state array;
   net_c1 : float array;
   net_len : float array;
-  (* Exact per-net span extremes with support counts: how many pin refs sit
-     on each extreme.  A moved pin only forces a net rescan when it was the
-     sole support of a boundary it left. *)
-  net_minx : int array;
-  net_maxx : int array;
-  net_miny : int array;
-  net_maxy : int array;
-  net_cminx : int array;
-  net_cmaxx : int array;
-  net_cminy : int array;
-  net_cmaxy : int array;
-  (* nets_of_cell as arrays (same order as the list — the C1/TEIL float
-     accumulator chains depend on it), plus the pin refs of each cell on
-     each of its nets (with multiplicity, matching the rescan counting). *)
+  (* nets_of_cell as arrays, in the list's order: the C1/TEIL float
+     accumulator chains depend on it. *)
   cell_nets : int array array;
-  cell_net_pins : int array array array;
   cell_c3 : float array;
   (* Placement constraints (netlist order) and their cached integer-valued
      penalties; [cons_of_cell.(ci)] lists the constraint slots that must
@@ -96,20 +80,21 @@ type t = {
   mutable idx : Spatial.t;
   (* Scratch: index query results, one slot per cell. *)
   cand : int array;
-  (* Scratch: pre-move pin positions of the cell being mutated. *)
-  old_px : int array;
-  old_py : int array;
-  (* Scratch for [delta_cost]: the simulated C1..C4 accumulators; per-net
-     simulated C1, valid when the stamp matches the current simulation
-     pass; simulated occupancy. *)
+  (* Scratch for [delta_cost]: the simulated C1..C4/TEIL accumulators;
+     per-net simulated C1 and length, valid when the stamp matches the
+     current simulation pass; site occupancy (also [recompute_all]'s). *)
   sim : terms;
   sim_net_c1 : float array;
+  sim_net_len : float array;
   sim_net_stamp : int array;
   sim_occ : int array;
   (* Same device for simulated constraint penalties. *)
   sim_cpen : float array;
   sim_cpen_stamp : int array;
   mutable sim_stamp : int;
+  (* The last [delta_cost] pass may still be committed: no mutation and no
+     [recompute_all] since. *)
+  mutable live : bool;
   (* Pending cells of the current pass: cell [ci] is pending when
      [pend_stamp.(ci) = sim_stamp], and then lives in
      [pool.(pend_slot.(ci))]; slots [0 .. n_pending-1] are in use.  The
@@ -242,115 +227,25 @@ let fill_pin_positions t ci ~x ~y ~variant ~orient ~sites px py =
     py.(p) <- y + ly
   done
 
+(* Rebuild cell [ci]'s tiles and pin positions from its placement, and
+   enter its bbox in a freshly made index. *)
 let refresh_cell t ci =
   let cs = t.cells.(ci) in
   cs.abs_tiles <-
     translate_tiles (cached_tiles t ci cs.variant cs.orient) ~dx:cs.x ~dy:cs.y;
   cs.exp_tiles <- expand_tiles t ci cs.variant cs.abs_tiles;
   cs.bbox <- bbox_of cs.exp_tiles;
-  if Spatial.mem t.idx ci then Spatial.update t.idx ci cs.bbox
-  else Spatial.insert t.idx ci cs.bbox;
+  Spatial.insert t.idx ci cs.bbox;
   fill_pin_positions t ci ~x:cs.x ~y:cs.y ~variant:cs.variant
     ~orient:cs.orient ~sites:cs.sites cs.pin_x cs.pin_y
 
-(* ------------------------------------------------------------------ *)
-(* Net spans                                                           *)
-
-(* Full rescan of one net: extremes and their support counts in one pass
-   over the pin refs.  This is the fallback when an incremental update
-   cannot prove the surviving support of a boundary. *)
-let rescan_net_span t n =
-  let pins = t.nl.Netlist.nets.(n).Net.pins in
-  let minx = ref max_int and maxx = ref min_int in
-  let miny = ref max_int and maxy = ref min_int in
-  let cminx = ref 0 and cmaxx = ref 0 and cminy = ref 0 and cmaxy = ref 0 in
-  for i = 0 to Array.length pins - 1 do
-    let r = pins.(i) in
-    let cs = t.cells.(r.Net.cell) in
-    let x = cs.pin_x.(r.Net.pin) and y = cs.pin_y.(r.Net.pin) in
-    if x < !minx then begin minx := x; cminx := 1 end
-    else if x = !minx then incr cminx;
-    if x > !maxx then begin maxx := x; cmaxx := 1 end
-    else if x = !maxx then incr cmaxx;
-    if y < !miny then begin miny := y; cminy := 1 end
-    else if y = !miny then incr cminy;
-    if y > !maxy then begin maxy := y; cmaxy := 1 end
-    else if y = !maxy then incr cmaxy
-  done;
-  t.net_minx.(n) <- !minx;
-  t.net_maxx.(n) <- !maxx;
-  t.net_miny.(n) <- !miny;
-  t.net_maxy.(n) <- !maxy;
-  t.net_cminx.(n) <- !cminx;
-  t.net_cmaxx.(n) <- !cmaxx;
-  t.net_cminy.(n) <- !cminy;
-  t.net_cmaxy.(n) <- !cmaxy
-
 (* The C1 and TEIL contributions of a net with spans [dx], [dy]: the one
-   float expression every path (apply, delta, recompute) evaluates, so
-   they agree bit for bit.  Inlined so the floats stay unboxed. *)
+   float expression both [delta_cost] and [recompute_all] evaluate.
+   Inlined so the floats stay unboxed. *)
 let[@inline] net_c1_of (net : Net.t) ~dx ~dy =
   (dx *. net.Net.hweight) +. (dy *. net.Net.vweight)
 
 let[@inline] net_len_of ~dx ~dy = dx +. dy
-
-(* Incremental update of one min-extreme axis after the pins [pins] of one
-   cell moved from [oldv] to [newv] (both x or both y coordinates).
-   Returns [false] when the old extreme lost all its support and no moved
-   pin re-establishes it — the caller must rescan the net. *)
-let update_min_axis ext cnt n pins oldv newv =
-  let e = ext.(n) in
-  let removed = ref 0 and bestnew = ref max_int and bestcnt = ref 0 in
-  for i = 0 to Array.length pins - 1 do
-    let p = pins.(i) in
-    if oldv.(p) = e then incr removed;
-    let v = newv.(p) in
-    if v < !bestnew then begin bestnew := v; bestcnt := 1 end
-    else if v = !bestnew then incr bestcnt
-  done;
-  let rem = cnt.(n) - !removed in
-  if !bestnew < e then begin
-    ext.(n) <- !bestnew;
-    cnt.(n) <- !bestcnt;
-    true
-  end
-  else if !bestnew = e then begin cnt.(n) <- rem + !bestcnt; true end
-  else if rem > 0 then begin cnt.(n) <- rem; true end
-  else false
-
-let update_max_axis ext cnt n pins oldv newv =
-  let e = ext.(n) in
-  let removed = ref 0 and bestnew = ref min_int and bestcnt = ref 0 in
-  for i = 0 to Array.length pins - 1 do
-    let p = pins.(i) in
-    if oldv.(p) = e then incr removed;
-    let v = newv.(p) in
-    if v > !bestnew then begin bestnew := v; bestcnt := 1 end
-    else if v = !bestnew then incr bestcnt
-  done;
-  let rem = cnt.(n) - !removed in
-  if !bestnew > e then begin
-    ext.(n) <- !bestnew;
-    cnt.(n) <- !bestcnt;
-    true
-  end
-  else if !bestnew = e then begin cnt.(n) <- rem + !bestcnt; true end
-  else if rem > 0 then begin cnt.(n) <- rem; true end
-  else false
-
-(* Update the cached span of net [n] (the [k]-th net of cell [ci]) after
-   [ci]'s pins moved from [t.old_px]/[t.old_py] to their current
-   positions. *)
-let update_net_span t ci k n =
-  let pins = t.cell_net_pins.(ci).(k) in
-  let cs = t.cells.(ci) in
-  let ok =
-    update_min_axis t.net_minx t.net_cminx n pins t.old_px cs.pin_x
-    && update_max_axis t.net_maxx t.net_cmaxx n pins t.old_px cs.pin_x
-    && update_min_axis t.net_miny t.net_cminy n pins t.old_py cs.pin_y
-    && update_max_axis t.net_maxy t.net_cmaxy n pins t.old_py cs.pin_y
-  in
-  if not ok then rescan_net_span t n
 
 (* ------------------------------------------------------------------ *)
 (* Cost terms                                                          *)
@@ -429,20 +324,12 @@ let c3_of_occ t ci ~variant occ =
   done;
   !total
 
-let refresh_occupancy t ci =
-  let cs = t.cells.(ci) in
-  fill_occupancy t ci ~variant:cs.variant ~sites:cs.sites cs.occ;
-  let old = t.cell_c3.(ci) in
-  let v = c3_of_occ t ci ~variant:cs.variant cs.occ in
-  t.cell_c3.(ci) <- v;
-  t.cost.c3 <- t.cost.c3 -. old +. v
-
 (* ------------------------------------------------------------------ *)
 (* Constraint penalties (C4)                                           *)
 
 (* Whole-constraint evaluation against the committed state.  [Constr.eval]
    returns an exact integer, so the float accumulator chains built on it
-   cancel exactly across the apply, delta and recompute paths. *)
+   cancel exactly. *)
 let eval_constraint t k =
   float_of_int
     (Constr.eval ~n_cells:(Array.length t.cells)
@@ -454,26 +341,38 @@ let eval_constraint t k =
 (* Full recomputation                                                  *)
 
 let recompute_all t =
+  t.live <- false;
   t.idx <- make_index t;
   Array.iteri (fun ci _ -> refresh_cell t ci) t.cells;
   t.cost.c1 <- 0.0;
   t.cost.teil <- 0.0;
-  Array.iteri
-    (fun n net ->
-      rescan_net_span t n;
-      let dx = float_of_int (t.net_maxx.(n) - t.net_minx.(n))
-      and dy = float_of_int (t.net_maxy.(n) - t.net_miny.(n)) in
-      let c1 = net_c1_of net ~dx ~dy and len = net_len_of ~dx ~dy in
-      t.net_c1.(n) <- c1;
-      t.net_len.(n) <- len;
-      t.cost.c1 <- t.cost.c1 +. c1;
-      t.cost.teil <- t.cost.teil +. len)
-    t.nl.Netlist.nets;
+  let nets = t.nl.Netlist.nets in
+  for n = 0 to Array.length nets - 1 do
+    let pins = nets.(n).Net.pins in
+    let minx = ref max_int and maxx = ref min_int in
+    let miny = ref max_int and maxy = ref min_int in
+    for i = 0 to Array.length pins - 1 do
+      let r = pins.(i) in
+      let cs = t.cells.(r.Net.cell) in
+      let x = cs.pin_x.(r.Net.pin) and y = cs.pin_y.(r.Net.pin) in
+      if x < !minx then minx := x;
+      if x > !maxx then maxx := x;
+      if y < !miny then miny := y;
+      if y > !maxy then maxy := y
+    done;
+    let dx = float_of_int (!maxx - !minx)
+    and dy = float_of_int (!maxy - !miny) in
+    let c1 = net_c1_of nets.(n) ~dx ~dy and len = net_len_of ~dx ~dy in
+    t.net_c1.(n) <- c1;
+    t.net_len.(n) <- len;
+    t.cost.c1 <- t.cost.c1 +. c1;
+    t.cost.teil <- t.cost.teil +. len
+  done;
   t.cost.c3 <- 0.0;
   Array.iteri
     (fun ci cs ->
-      fill_occupancy t ci ~variant:cs.variant ~sites:cs.sites cs.occ;
-      t.cell_c3.(ci) <- c3_of_occ t ci ~variant:cs.variant cs.occ;
+      fill_occupancy t ci ~variant:cs.variant ~sites:cs.sites t.sim_occ;
+      t.cell_c3.(ci) <- c3_of_occ t ci ~variant:cs.variant t.sim_occ;
       t.cost.c3 <- t.cost.c3 +. t.cell_c3.(ci))
     t.cells;
   (* Each unordered pair counted once; cell_overlap counts both directions,
@@ -547,8 +446,7 @@ let create ~params ~core ~expander ~rng (nl : Netlist.t) =
           exp_tiles = [];
           pin_x = Array.make (Cell.n_pins c) 0;
           pin_y = Array.make (Cell.n_pins c) 0;
-          bbox = Rect.empty;
-          occ = Array.make (max_sites c) 0 })
+          bbox = Rect.empty })
   in
   (* Preplaced macros start at their target, overriding the random draw
      (the draw still happens, keeping RNG consumption uniform per cell). *)
@@ -576,19 +474,6 @@ let create ~params ~core ~expander ~rng (nl : Netlist.t) =
   in
   let n_nets = Netlist.n_nets nl in
   let cell_nets = Array.map Array.of_list nl.Netlist.nets_of_cell in
-  let cell_net_pins =
-    Array.init n (fun ci ->
-        Array.map
-          (fun nidx ->
-            let net = nl.Netlist.nets.(nidx) in
-            let acc = ref [] in
-            Array.iter
-              (fun (r : Net.pin_ref) ->
-                if r.Net.cell = ci then acc := r.Net.pin :: !acc)
-              net.Net.pins;
-            Array.of_list (List.rev !acc))
-          cell_nets.(ci))
-  in
   let max_pins =
     Array.fold_left (fun acc c -> max acc (Cell.n_pins c)) 0 nl.Netlist.cells
   in
@@ -603,16 +488,7 @@ let create ~params ~core ~expander ~rng (nl : Netlist.t) =
       cells;
       net_c1 = Array.make n_nets 0.0;
       net_len = Array.make n_nets 0.0;
-      net_minx = Array.make n_nets 0;
-      net_maxx = Array.make n_nets 0;
-      net_miny = Array.make n_nets 0;
-      net_maxy = Array.make n_nets 0;
-      net_cminx = Array.make n_nets 0;
-      net_cmaxx = Array.make n_nets 0;
-      net_cminy = Array.make n_nets 0;
-      net_cmaxy = Array.make n_nets 0;
       cell_nets;
-      cell_net_pins;
       cell_c3 = Array.make n 0.0;
       cons;
       cpen = Array.make (Array.length cons) 0.0;
@@ -625,15 +501,15 @@ let create ~params ~core ~expander ~rng (nl : Netlist.t) =
         Spatial.create ~world:core
           ~cell_size:(max 1 (max (Rect.width core) (Rect.height core)));
       cand = Array.make n 0;
-      old_px = Array.make max_pins 0;
-      old_py = Array.make max_pins 0;
       sim = zero_terms ();
       sim_net_c1 = Array.make n_nets 0.0;
+      sim_net_len = Array.make n_nets 0.0;
       sim_net_stamp = Array.make n_nets 0;
       sim_occ = Array.make max_sites_all 0;
       sim_cpen = Array.make (Array.length cons) 0.0;
       sim_cpen_stamp = Array.make (Array.length cons) 0;
       sim_stamp = 0;
+      live = false;
       pend_stamp = Array.make n 0;
       pend_slot = Array.make n 0;
       pool = Array.init 2 (fun _ -> make_sim_cell ~max_pins);
@@ -701,99 +577,7 @@ let chip_bbox t =
     Rect.empty t.cells
 
 (* ------------------------------------------------------------------ *)
-(* Mutation                                                            *)
-
-let update_nets_of_cell t ci =
-  let nets = t.cell_nets.(ci) in
-  for k = 0 to Array.length nets - 1 do
-    let n = nets.(k) in
-    update_net_span t ci k n;
-    let dx = float_of_int (t.net_maxx.(n) - t.net_minx.(n))
-    and dy = float_of_int (t.net_maxy.(n) - t.net_miny.(n)) in
-    let c1' = net_c1_of t.nl.Netlist.nets.(n) ~dx ~dy
-    and len' = net_len_of ~dx ~dy in
-    t.cost.c1 <- t.cost.c1 -. t.net_c1.(n) +. c1';
-    t.cost.teil <- t.cost.teil -. t.net_len.(n) +. len';
-    t.net_c1.(n) <- c1';
-    t.net_len.(n) <- len'
-  done
-
-let save_pin_positions t cs =
-  let n = Array.length cs.pin_x in
-  Array.blit cs.pin_x 0 t.old_px 0 n;
-  Array.blit cs.pin_y 0 t.old_py 0 n
-
-let set_cell_sites t ci sites =
-  let cs = t.cells.(ci) in
-  save_pin_positions t cs;
-  Array.blit sites 0 cs.sites 0 (Array.length cs.sites);
-  fill_pin_positions t ci ~x:cs.x ~y:cs.y ~variant:cs.variant
-    ~orient:cs.orient ~sites:cs.sites cs.pin_x cs.pin_y;
-  update_nets_of_cell t ci;
-  refresh_occupancy t ci
-
-let rec mem_from x a i =
-  i < Array.length a && (a.(i) = x || mem_from x a (i + 1))
-
-(* Clamp a site assignment into [variant]'s site array, honouring edge
-   restrictions: a site still allowed stays, any other moves to the first
-   allowed site.  Mutates the first [n_pins] entries of [sites] in place. *)
-let reclamp_sites (tbl : Sites.table) ~variant sites =
-  let c = tbl.Sites.cell in
-  let n_sites = Array.length (Cell.variant c variant).Cell.sites in
-  let allowed = tbl.Sites.allowed.(variant) in
-  for p = 0 to Cell.n_pins c - 1 do
-    let s = sites.(p) in
-    if s >= 0 then begin
-      let s = if s < n_sites then s else s mod max 1 n_sites in
-      let a = allowed.(p) in
-      sites.(p) <-
-        (if mem_from s a 0 then s
-         else if Array.length a = 0 then
-           invalid_arg
-             "Placement.set_cell: pin has no allowed site in new variant"
-         else a.(0))
-    end
-  done
-
-let set_cell t ci ?x ?y ?orient ?variant ?sites () =
-  match (x, y, orient, variant, sites) with
-  | None, None, None, None, Some s ->
-      (* Pin sites only, geometry untouched: C2 cannot change.  Safe for
-         bit-identity because the overlap totals are integer-valued floats,
-         so the skipped [c2 -. ov +. ov] chain is exact. *)
-      set_cell_sites t ci s
-  | _ ->
-      let cs = t.cells.(ci) in
-      let ov_old = cell_overlap t ci in
-      save_pin_positions t cs;
-      let variant_changed =
-        match variant with Some v -> v <> cs.variant | None -> false
-      in
-      (match x with Some v -> cs.x <- v | None -> ());
-      (match y with Some v -> cs.y <- v | None -> ());
-      (match orient with Some v -> cs.orient <- v | None -> ());
-      (match variant with Some v -> cs.variant <- v | None -> ());
-      (match sites with
-      | Some s -> Array.blit s 0 cs.sites 0 (Array.length cs.sites)
-      | None ->
-          if variant_changed then
-            reclamp_sites t.tables.(ci) ~variant:cs.variant cs.sites);
-      refresh_cell t ci;
-      update_nets_of_cell t ci;
-      let ov_new = cell_overlap t ci in
-      t.cost.c2 <- t.cost.c2 -. ov_old +. ov_new;
-      if variant_changed || sites <> None then refresh_occupancy t ci;
-      let ks = t.cons_of_cell.(ci) in
-      for i = 0 to Array.length ks - 1 do
-        let k = ks.(i) in
-        let v = eval_constraint t k in
-        t.cost.c4 <- t.cost.c4 -. t.cpen.(k) +. v;
-        t.cpen.(k) <- v
-      done
-
-(* ------------------------------------------------------------------ *)
-(* Evaluate-without-apply                                              *)
+(* Trials: simulate, then commit                                       *)
 
 type move =
   | Cell_move of {
@@ -806,19 +590,18 @@ type move =
     }
   | Sites_move of { ci : int; sites : int array }
 
-(* [delta_cost] computes exactly the float that [apply_move]-ing every move
-   and then subtracting the prior [total_cost] would produce — same
-   accumulator chains in the same order on the same operands — without
-   mutating the placement.  Keeping the delta bit-identical keeps the
-   Metropolis RNG consumption, and therefore whole trajectories, identical
-   to applying and measuring each trial.  Everything below runs on
-   preallocated scratch: no closures, options or tuples per trial. *)
+(* The one mutation path.  [delta_cost] simulates the moves on a pool of
+   pending cells, chaining every cost accumulator as applying them would;
+   [commit] installs exactly that simulated state, so an accepted trial is
+   costed once and the committed accumulators are the ones the Metropolis
+   test saw.  [set_cell] is a one-move simulate-and-commit.  Everything
+   below runs on preallocated scratch: no closures, options or tuples per
+   trial. *)
 
 let[@inline] is_pending t ci = t.pend_stamp.(ci) = t.sim_stamp
 
 (* Rescan every net of cell [ci] over effective pin positions and chain the
-   C1 changes.  Extremes are exact ints, so a rescan and the incremental
-   update of the apply path agree bit for bit. *)
+   C1 and TEIL changes. *)
 let sim_update_nets t ci =
   let stamp = t.sim_stamp in
   let nets = t.cell_nets.(ci) in
@@ -846,12 +629,14 @@ let sim_update_nets t ci =
     done;
     let dx = float_of_int (!maxx - !minx)
     and dy = float_of_int (!maxy - !miny) in
-    let c1' = net_c1_of net ~dx ~dy in
-    let prev =
-      if t.sim_net_stamp.(n) = stamp then t.sim_net_c1.(n) else t.net_c1.(n)
-    in
-    t.sim.c1 <- t.sim.c1 -. prev +. c1';
+    let c1' = net_c1_of net ~dx ~dy and len' = net_len_of ~dx ~dy in
+    let stamped = t.sim_net_stamp.(n) = stamp in
+    let prev_c1 = if stamped then t.sim_net_c1.(n) else t.net_c1.(n)
+    and prev_len = if stamped then t.sim_net_len.(n) else t.net_len.(n) in
+    t.sim.c1 <- t.sim.c1 -. prev_c1 +. c1';
+    t.sim.teil <- t.sim.teil -. prev_len +. len';
     t.sim_net_c1.(n) <- c1';
+    t.sim_net_len.(n) <- len';
     t.sim_net_stamp.(n) <- stamp
   done
 
@@ -876,16 +661,14 @@ let sim_overlap t ci exp bbox =
   done;
   !total
 
-(* Simulated occupancy of [pc]'s sites and the C3 chain; mirrors
-   [refresh_occupancy]. *)
+(* Simulated occupancy of [pc]'s sites and the C3 chain. *)
 let sim_occupancy t pc =
   fill_occupancy t pc.m_ci ~variant:pc.m_variant ~sites:pc.m_sites t.sim_occ;
   let c3' = c3_of_occ t pc.m_ci ~variant:pc.m_variant t.sim_occ in
   t.sim.c3 <- t.sim.c3 -. pc.m_c3.(0) +. c3';
   pc.m_c3.(0) <- c3'
 
-(* Effective constraint evaluation over pending-aware views, mirroring the
-   per-constraint chain [set_cell] runs on its committed caches. *)
+(* Effective constraint evaluation over pending-aware views. *)
 let sim_eval_constraint t k =
   float_of_int
     (Constr.eval ~n_cells:(Array.length t.cells)
@@ -921,7 +704,7 @@ let pending_view t ci =
   else begin
     let slot = t.n_pending in
     if slot = Array.length t.pool then begin
-      let max_pins = Array.length t.old_px in
+      let max_pins = Array.length t.pool.(0).m_px in
       t.pool <-
         Array.append t.pool
           (Array.init slot (fun _ -> make_sim_cell ~max_pins))
@@ -946,7 +729,31 @@ let pending_view t ci =
     pc
   end
 
-(* Mirrors [set_cell_sites]. *)
+let rec mem_from x a i =
+  i < Array.length a && (a.(i) = x || mem_from x a (i + 1))
+
+(* Clamp a site assignment into [variant]'s site array, honouring edge
+   restrictions: a site still allowed stays, any other moves to the first
+   allowed site.  Mutates the first [n_pins] entries of [sites] in place. *)
+let reclamp_sites (tbl : Sites.table) ~variant sites =
+  let c = tbl.Sites.cell in
+  let n_sites = Array.length (Cell.variant c variant).Cell.sites in
+  let allowed = tbl.Sites.allowed.(variant) in
+  for p = 0 to Cell.n_pins c - 1 do
+    let s = sites.(p) in
+    if s >= 0 then begin
+      let s = if s < n_sites then s else s mod max 1 n_sites in
+      let a = allowed.(p) in
+      sites.(p) <-
+        (if mem_from s a 0 then s
+         else if Array.length a = 0 then
+           invalid_arg
+             "Placement.set_cell: pin has no allowed site in new variant"
+         else a.(0))
+    end
+  done
+
+(* A pin move: geometry untouched, so C2 cannot change. *)
 let sim_sites_move t ci sites =
   let pc = pending_view t ci in
   Array.blit sites 0 pc.m_sites 0 (Cell.n_pins t.nl.Netlist.cells.(ci));
@@ -955,7 +762,7 @@ let sim_sites_move t ci sites =
   sim_update_nets t ci;
   sim_occupancy t pc
 
-(* Mirrors [set_cell], including its sites-only routing. *)
+(* A sites-only [Cell_move] takes the pin-move path. *)
 let sim_cell_move t ci ~x ~y ~orient ~variant ~sites =
   match (x, y, orient, variant, sites) with
   | None, None, None, None, Some s -> sim_sites_move t ci s
@@ -977,7 +784,7 @@ let sim_cell_move t ci ~x ~y ~orient ~variant ~sites =
       | None ->
           if variant_changed then
             reclamp_sites t.tables.(ci) ~variant:pc.m_variant pc.m_sites);
-      (* Candidate geometry — mirrors [refresh_cell]. *)
+      (* Candidate geometry, built as [refresh_cell] builds it. *)
       pc.m_abs <-
         translate_tiles
           (cached_tiles t ci pc.m_variant pc.m_orient)
@@ -1003,6 +810,7 @@ let rec sim_moves t = function
       sim_moves t rest
 
 let delta_cost t moves =
+  t.live <- false;
   t.sim_stamp <- t.sim_stamp + 1;
   t.n_pending <- 0;
   let tot0 = total_cost t in
@@ -1011,16 +819,62 @@ let delta_cost t moves =
   sim.c2 <- t.cost.c2;
   sim.c3 <- t.cost.c3;
   sim.c4 <- t.cost.c4;
+  sim.teil <- t.cost.teil;
   sim_moves t moves;
+  t.live <- true;
   let base = sim.c1 +. (t.p2v *. sim.c2) +. (t.prm.Params.p3 *. sim.c3) in
   (if Array.length t.cons = 0 then base
    else base +. (t.prm.Params.p4 *. sim.c4))
   -. tot0
 
-let apply_move t = function
-  | Cell_move { ci; x; y; orient; variant; sites } ->
-      set_cell t ci ?x ?y ?orient ?variant ?sites ()
-  | Sites_move { ci; sites } -> set_cell_sites t ci sites
+let commit t =
+  if not t.live then invalid_arg "Placement.commit: no delta_cost pass to commit";
+  t.live <- false;
+  let stamp = t.sim_stamp in
+  for s = 0 to t.n_pending - 1 do
+    let pc = t.pool.(s) in
+    let ci = pc.m_ci in
+    let cs = t.cells.(ci) in
+    let n_pins = Array.length cs.sites in
+    cs.x <- pc.m_x;
+    cs.y <- pc.m_y;
+    cs.orient <- pc.m_orient;
+    cs.variant <- pc.m_variant;
+    Array.blit pc.m_sites 0 cs.sites 0 n_pins;
+    Array.blit pc.m_px 0 cs.pin_x 0 n_pins;
+    Array.blit pc.m_py 0 cs.pin_y 0 n_pins;
+    cs.abs_tiles <- pc.m_abs;
+    cs.exp_tiles <- pc.m_exp;
+    (* A pin move leaves the slot holding the committed bbox itself. *)
+    if pc.m_bbox != cs.bbox then begin
+      cs.bbox <- pc.m_bbox;
+      Spatial.update t.idx ci pc.m_bbox
+    end;
+    t.cell_c3.(ci) <- pc.m_c3.(0);
+    let nets = t.cell_nets.(ci) in
+    for k = 0 to Array.length nets - 1 do
+      let n = nets.(k) in
+      if t.sim_net_stamp.(n) = stamp then begin
+        t.net_c1.(n) <- t.sim_net_c1.(n);
+        t.net_len.(n) <- t.sim_net_len.(n)
+      end
+    done;
+    let ks = t.cons_of_cell.(ci) in
+    for i = 0 to Array.length ks - 1 do
+      let k = ks.(i) in
+      if t.sim_cpen_stamp.(k) = stamp then t.cpen.(k) <- t.sim_cpen.(k)
+    done
+  done;
+  t.cost.c1 <- t.sim.c1;
+  t.cost.c2 <- t.sim.c2;
+  t.cost.c3 <- t.sim.c3;
+  t.cost.c4 <- t.sim.c4;
+  t.cost.teil <- t.sim.teil
+
+let set_cell t ci ?x ?y ?orient ?variant ?sites () =
+  ignore
+    (delta_cost t [ Cell_move { ci; x; y; orient; variant; sites } ] : float);
+  commit t
 
 (* ------------------------------------------------------------------ *)
 (* Cost snapshots                                                      *)
@@ -1037,6 +891,7 @@ let snapshot_cost t =
   { g_c1 = t.cost.c1; g_c2 = t.cost.c2; g_c3 = t.cost.c3; g_c4 = t.cost.c4; g_teil = t.cost.teil }
 
 let restore_cost t s =
+  t.live <- false;
   t.cost.c1 <- s.g_c1;
   t.cost.c2 <- s.g_c2;
   t.cost.c3 <- s.g_c3;

@@ -4,7 +4,7 @@
     orientation, selected variant, and the pin-site assignment of
     uncommitted pins; plus the derived caches (absolute tiles, expanded
     tiles, absolute pin positions, per-net TEIC contributions, per-cell
-    pin-site occupancy) that make move evaluation incremental.
+    pin-site penalties) that make move evaluation incremental.
 
     Cost terms:
     - [C1] — the TEIC (Eqn 6): weighted net spans from exact pin locations;
@@ -74,16 +74,12 @@ val set_cell :
   ?sites:int array ->
   unit ->
   unit
-(** Mutates the cell and incrementally updates every cache and cost term.
-    A variant change re-clamps out-of-range site assignments.  [~sites] is
-    copied into the cell's own array, never adopted: the caller may reuse
-    or mutate it afterwards. *)
-
-val set_cell_sites : t -> int -> int array -> unit
-(** Fast path for pin moves: replaces the site assignment only.  Skips the
-    tile/overlap work ([C2] cannot change when only pins move), updating pin
-    positions, net contributions and occupancy.  Like [set_cell ~sites],
-    copies the array. *)
+(** Mutates the cell and incrementally updates every cache and cost term:
+    the one-move {!delta_cost} followed by {!commit}, so it ends any
+    pending pass.  A variant change re-clamps out-of-range site
+    assignments.  A [~sites]-only call is a pin move and leaves the
+    geometry alone.  [~sites] is copied into the cell's own array, never
+    adopted: the caller may reuse or mutate it afterwards. *)
 
 (** {2 Cost} *)
 
@@ -148,7 +144,7 @@ val verify_index : t -> unit
 (** Asserts the embedded spatial index matches the cell bboxes and answers
     queries identically to a from-scratch rebuild; raises [Failure]. *)
 
-(** {2 Evaluate-without-apply} *)
+(** {2 Trials: simulate, then commit} *)
 
 type move =
   | Cell_move of {
@@ -158,21 +154,27 @@ type move =
       orient : Twmc_geometry.Orient.t option;
       variant : int option;
       sites : int array option;
-    }  (** Mirrors the optional arguments of {!set_cell}. *)
+    }  (** The optional arguments of {!set_cell}. *)
   | Sites_move of { ci : int; sites : int array }
-      (** Mirrors {!set_cell_sites}. *)
+      (** A pin move: the same as a [Cell_move] with only [sites]. *)
 
 val delta_cost : t -> move list -> float
-(** Cost change of applying the moves in order, without mutating anything.
-    Bit-identical to applying them and differencing {!total_cost} — the
-    same accumulator chains run in the same order on the same operands —
-    so Metropolis decisions (and RNG consumption) are the same as if the
-    trial were applied and measured.  Runs on scratch preallocated in [t]:
-    no closures, options, tuples or arrays per call; only a geometric move
-    allocates, for its candidate tile lists. *)
+(** Cost change of applying the moves in order, simulated without mutating
+    the placement; {!commit} then installs the simulated state.  This is
+    the only way a placement changes: {!set_cell} is a one-move pass.
+    Runs on scratch preallocated in [t]: no closures, options, tuples or
+    arrays per call; only a geometric move allocates, for its candidate
+    tile lists.  The move's [sites] arrays are copied, never adopted. *)
 
-val apply_move : t -> move -> unit
-(** Commits one move through {!set_cell}/{!set_cell_sites}. *)
+val commit : t -> unit
+(** Installs the state the last {!delta_cost} simulated: cells, pin
+    positions, tiles and index entries, per-net and per-constraint caches
+    and every cost accumulator.  Afterwards {!total_cost} differs from its
+    prior value by exactly the returned delta (at an unchanged [p2]).
+    Raises [Invalid_argument] unless that pass is still live: a
+    {!commit}, {!set_cell}, {!recompute_all} (so {!set_core},
+    {!set_expander} and {!drift_report}) or {!restore_cost} since ends
+    it, and a [delta_cost] that raised never starts one. *)
 
 (** {2 Cost snapshots} *)
 

@@ -4,8 +4,8 @@
    (C1/C2/C3/TEIL) and updates them incrementally on each move; the oracle
    is a from-scratch [Placement.recompute_all].  Random netlists from the
    synthetic workload generator are driven through batches of random moves
-   — hot temperatures so most are accepted, cold so most are rejected and
-   rolled back, covering both the apply and the restore paths — and after
+   — hot temperatures so most are accepted and committed, cold so most are
+   rejected without mutating anything — and after
    every batch each cached term must agree with the recomputed truth to
    within 1e-6 relative ([Placement.drift_report] applies exactly that
    tolerance and returns the offenders). *)
@@ -380,11 +380,25 @@ let test_index_candidate_count () =
   done;
   check_point "after 2,000 generates"
 
-(* Satellite: [Placement.delta_cost] must equal apply-and-difference
-   bit-for-bit (same accumulator chains on the same operands), over every
-   move kind — displace, displace+orient, in-place orient, interchange,
-   variant and pin-site moves, through both the [Sites_move] constructor
-   and the sites-only [Cell_move] routing. *)
+(* Simulate one trial, commit it, and check the committed state: the cost
+   moved by exactly the simulated delta, the spatial index matches the
+   committed bboxes, and every cached term agrees with a from-scratch
+   recomputation. *)
+let commit_and_check ~what p moves =
+  let d = Placement.delta_cost p moves in
+  let t0 = Placement.total_cost p in
+  Placement.commit p;
+  let measured = Placement.total_cost p -. t0 in
+  if Int64.bits_of_float d <> Int64.bits_of_float measured then
+    Alcotest.failf "%s: delta_cost %.17g <> committed %.17g" what d measured;
+  (* The index first: [drift_report] recomputes, and so rebuilds it. *)
+  Placement.verify_index p;
+  assert_no_drift ~what p
+
+(* [Placement.delta_cost] then [Placement.commit] over every move kind —
+   displace, displace+orient, in-place orient, interchange, variant and
+   pin-site moves, through both the [Sites_move] constructor and the
+   sites-only [Cell_move] routing. *)
 let test_delta_vs_apply () =
   let rng = Rng.create ~seed:909 in
   let nl =
@@ -412,13 +426,7 @@ let test_delta_vs_apply () =
   in
   let checked = ref 0 in
   let check_move what moves =
-    let d = Placement.delta_cost p moves in
-    let t0 = Placement.total_cost p in
-    List.iter (Placement.apply_move p) moves;
-    let t1 = Placement.total_cost p in
-    let measured = t1 -. t0 in
-    if Int64.bits_of_float d <> Int64.bits_of_float measured then
-      Alcotest.failf "%s: delta_cost %.17g <> measured %.17g" what d measured;
+    commit_and_check ~what p moves;
     incr checked
   in
   let rand_pos () =
@@ -484,10 +492,9 @@ let test_delta_vs_apply () =
       Placement.set_expander p (Placement.Static (Array.make n (3, 3, 3, 3)))
   done;
   checkb "coverage: enough move kinds exercised" true (!checked > 150);
-  assert_no_drift ~what:"delta-vs-apply end" p
+  assert_no_drift ~what:"commit end" p
 
-(* Satellite: delta-vs-apply bit-exactness on a constrained netlist, for
-   every move kind, with displacement targets biased onto and just across
+(* Simulate-and-commit on a constrained netlist, for every move kind, with displacement targets biased onto and just across
    the blockage edges — the worst case for the per-constraint incremental
    re-evaluation. *)
 let test_delta_vs_apply_constrained () =
@@ -528,13 +535,7 @@ let test_delta_vs_apply_constrained () =
   in
   let checked = ref 0 in
   let check_move what moves =
-    let d = Placement.delta_cost p moves in
-    let t0 = Placement.total_cost p in
-    List.iter (Placement.apply_move p) moves;
-    let t1 = Placement.total_cost p in
-    let measured = t1 -. t0 in
-    if Int64.bits_of_float d <> Int64.bits_of_float measured then
-      Alcotest.failf "%s: delta_cost %.17g <> measured %.17g" what d measured;
+    commit_and_check ~what p moves;
     incr checked
   in
   (* Positions on, one inside and one outside each blockage edge, plus
@@ -608,8 +609,55 @@ let test_delta_vs_apply_constrained () =
   done;
   checkb "coverage: enough constrained move kinds exercised" true
     (!checked > 150);
-  assert_constraint_accounting ~what:"constrained delta-vs-apply end" p;
-  assert_no_drift ~what:"constrained delta-vs-apply end" p
+  assert_constraint_accounting ~what:"constrained commit end" p;
+  assert_no_drift ~what:"constrained commit end" p
+
+(* [commit] installs only a live [delta_cost] pass: with none, a second
+   time, or after [set_core] recomputed everything, it raises and leaves
+   the cost and every cell untouched. *)
+let test_commit_needs_live_pass () =
+  let rng = Rng.create ~seed:913 in
+  let nl =
+    Synth.generate ~seed:23
+      { Synth.default_spec with
+        Synth.n_cells = 6;
+        n_nets = 14;
+        n_pins = 36;
+        frac_custom = 0.5 }
+  in
+  let core = centered_core ~w:200 ~h:200 in
+  let p =
+    Placement.create ~params:Params.default ~core
+      ~expander:Placement.No_expansion ~rng nl
+  in
+  let n = Twmc_netlist.Netlist.n_cells nl in
+  let cells () =
+    List.init n (fun ci ->
+        ( Placement.cell_pos p ci,
+          Placement.cell_orient p ci,
+          Placement.cell_variant p ci ))
+  in
+  let refused what =
+    let cost = Placement.total_cost p and before = cells () in
+    (match Placement.commit p with
+    | () -> Alcotest.failf "%s: commit accepted" what
+    | exception Invalid_argument _ -> ());
+    checkb (what ^ ": cost untouched") true (Placement.total_cost p = cost);
+    checkb (what ^ ": cells untouched") true (cells () = before)
+  in
+  let move () =
+    [ Placement.Cell_move
+        { ci = 0; x = Some 40; y = Some (-30); orient = None; variant = None;
+          sites = None } ]
+  in
+  refused "no prior delta_cost";
+  ignore (Placement.delta_cost p (move ()) : float);
+  Placement.commit p;
+  refused "second commit";
+  ignore (Placement.delta_cost p (move ()) : float);
+  Placement.set_core p (centered_core ~w:240 ~h:240);
+  refused "after set_core";
+  Placement.verify_consistency p
 
 let () =
   Alcotest.run "incremental"
@@ -629,4 +677,6 @@ let () =
           Alcotest.test_case "constrained delta_cost vs apply" `Quick
             test_delta_vs_apply_constrained;
           Alcotest.test_case "index candidate count, 220 cells" `Quick
-            test_index_candidate_count ] ) ]
+            test_index_candidate_count;
+          Alcotest.test_case "commit needs a live delta_cost" `Quick
+            test_commit_needs_live_pass ] ) ]

@@ -100,8 +100,7 @@ let test_placement_expander () =
   Placement.verify_consistency p
 
 (* A trial on two cells through [delta_cost]: nothing moves while it is
-   evaluated, and applying the same moves changes the cost by exactly the
-   delta. *)
+   evaluated, and committing it changes the cost by exactly the delta. *)
 let test_placement_delta_no_mutation () =
   let nl = mixed_netlist () in
   let p = make_placement nl in
@@ -122,9 +121,12 @@ let test_placement_delta_no_mutation () =
   checkb "cells untouched" true
     (Placement.cell_pos p 0 = pos0 && Placement.cell_pos p 1 = pos1);
   Placement.verify_consistency p;
-  List.iter (Placement.apply_move p) moves;
-  checkb "apply moves by the delta" true
+  (* [verify_consistency] recomputed everything, ending the pass. *)
+  checkb "same delta again" true (Placement.delta_cost p moves = delta);
+  Placement.commit p;
+  checkb "commit moves by the delta" true
     (Placement.total_cost p -. cost0 = delta);
+  checkb "cells moved" true (Placement.cell_pos p 1 <> pos1);
   Placement.verify_consistency p
 
 let test_placement_sites_fastpath () =
@@ -154,7 +156,7 @@ let test_placement_sites_fastpath () =
     | Some s ->
         let sites' = Array.copy sites in
         sites'.(!pin) <- s;
-        Placement.set_cell_sites p ci sites';
+        Placement.set_cell p ci ~sites:sites' ();
         check "site moved" s (Placement.site_of_pin p ~cell:ci ~pin:!pin);
         Placement.verify_consistency p
     | None -> ())
@@ -183,10 +185,6 @@ let test_sites_copied () =
   List.iter
     (fun ci ->
       let before = current ci in
-      let sites = Array.copy before in
-      Placement.set_cell_sites p ci sites;
-      scribble sites;
-      Alcotest.(check (array int)) "set_cell_sites copies" before (current ci);
       let sites = Array.copy before in
       Placement.set_cell p ci ~x:5 ~y:(-5) ~sites ();
       scribble sites;
@@ -323,7 +321,7 @@ let prop_incremental_consistency =
                   | [] -> ()
                   | allowed -> sites.(pi) <- Rng.pick_list rng allowed)
               c.Cell.pins;
-            Placement.set_cell_sites p ci sites
+            Placement.set_cell p ci ~sites ()
       done;
       Placement.verify_consistency p;
       true)
@@ -609,7 +607,7 @@ let test_fig2_aspect_rescue () =
   in
   let inverted_delta = Placement.delta_cost p [ inverted ] in
   checkb "inverted move accepted" true (inverted_delta < 0.0);
-  Placement.apply_move p inverted;
+  Placement.commit p;
   checkb "cost moved by the delta" true
     (Placement.total_cost p -. cost0 = inverted_delta);
   checkf 1e-9 "no overlap after rescue" 0.0 (Placement.c2_raw p);
